@@ -1,7 +1,7 @@
 """Chunked prefill with decode piggybacking vs the monolithic scheduler.
 
 Sweeps prefill chunk size x arrival rate over one Poisson workload
-(QW2-scale simulated costs, real tokens from the functional model),
+(QW2-scale simulated costs, output lengths from the session),
 comparing the monolithic boundary-pass scheduler against hybrid
 iterations, and emits the trajectory -- per-arm percentile latencies,
 goodput, chunked/hybrid iteration counts -- to

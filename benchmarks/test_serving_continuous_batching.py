@@ -1,7 +1,7 @@
 """Continuous batching vs. the paper's batch-1 server under Poisson load.
 
 Sweeps open-loop arrival rates over the same workload for both servers
-(DS-3-scale simulated costs, real tokens from the functional model) and
+(DS-3-scale simulated costs, output lengths from the session) and
 emits the full trajectory -- per-rate percentile latencies, goodput under
 a TTFT/TPOT SLO, and the continuous engine's batch-size / KV-occupancy
 timeline -- to ``benchmarks/BENCH_serving.json``.

@@ -1,4 +1,4 @@
-"""Serving layer: sessions (real tokens, simulated clocks) and servers.
+"""Serving layer: sessions (output lengths, simulated clocks) and servers.
 
 Two servers share the same workload/stats types: the paper's batch-1
 ``LocalServer`` and the iteration-level ``ContinuousBatchingServer``

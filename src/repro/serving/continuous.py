@@ -36,9 +36,7 @@ are running anyway and only the *marginal* expert work is billed --
 that piggybacking is what makes chunking affordable under the paper's
 weight-streaming-dominated CPU cost model.  A chunk budget at least as
 large as every co-admitted fresh prompt degenerates to the monolithic
-pass bit-for-bit.  Token *values* stay real: each request's tokens come
-from the functional model via the session, exactly as in the batch-1
-server.
+pass bit-for-bit.
 
 With a :class:`~repro.serving.priority.PriorityConfig` attached, the
 admission queue becomes priority-aware: candidates (arrived requests plus
@@ -62,6 +60,7 @@ can fire.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -891,7 +890,7 @@ class _InFlight:
     timed: TimedRequest
     slot: int
     reserved_pages: int
-    tokens: np.ndarray          # real token values, generated at admission
+    target_tokens: int          # tokens to emit (session.output_length)
     start_us: float             # admission time (first prefill work)
     context_len: int            # prefilled + emitted so far
     prompt_len: int
@@ -907,6 +906,12 @@ class _InFlight:
     def decodable(self) -> bool:
         """Whether the full context is in KV (request can emit tokens)."""
         return self.prefilled >= self.prefill_target
+
+
+def _arrived(pending: list[TimedRequest], clock: float) -> int:
+    """Count of the arrival-descending ``pending`` stack due by ``clock``."""
+    return len(pending) - bisect_left(pending, -clock,
+                                      key=lambda t: -t.arrival_us)
 
 
 class ContinuousBatchingServer:
@@ -1121,10 +1126,10 @@ class ContinuousBatchingServer:
 
     # -- admission ----------------------------------------------------------
 
-    def _request_pages(self, timed: TimedRequest) -> int:
+    def _request_pages(self, timed: TimedRequest, shared: int = 0) -> int:
         prompt_len = len(np.atleast_1d(timed.request.prompt))
         return self.pool.pages_needed(
-            prompt_len + timed.request.max_new_tokens)
+            prompt_len + timed.request.max_new_tokens - shared)
 
     def _pages_in_use(self) -> int:
         """Pages committed right now: request reservations + cache pages.
@@ -1337,10 +1342,7 @@ class ContinuousBatchingServer:
             if kind == "new" and self.prefix_cache is not None:
                 probe = self.prefix_cache.probe(self._prompt_tuple(timed))
                 if probe.matched_tokens:
-                    need = self.pool.pages_needed(
-                        len(np.atleast_1d(timed.request.prompt))
-                        + timed.request.max_new_tokens
-                        - probe.matched_tokens)
+                    need = self._request_pages(timed, probe.matched_tokens)
             extra = self.pool.pages_needed(probe.unpark_tokens)
             while self._pages_in_use() + need + extra > self.pool.budget_pages:
                 deficit = (self._pages_in_use() + need + extra
@@ -1367,7 +1369,6 @@ class ContinuousBatchingServer:
                 continue
             del pending[ref]
             prompt = np.atleast_1d(np.asarray(timed.request.prompt))
-            result = self.session.generate(timed.request)  # real tokens
             matched = 0
             if probe.matched_tokens:
                 matched, unparked = self.prefix_cache.acquire(
@@ -1391,8 +1392,8 @@ class ContinuousBatchingServer:
             # cache references, so only the suffix enters this slot.
             active.append(_InFlight(
                 timed=timed, slot=slot, reserved_pages=need,
-                tokens=result.tokens, start_us=clock,
-                context_len=matched, prompt_len=len(prompt),
+                target_tokens=self.session.output_length(timed.request),
+                start_us=clock, context_len=matched, prompt_len=len(prompt),
                 prefill_target=len(prompt),
                 prefilled=matched, shared_tokens=matched,
             ))
@@ -1586,7 +1587,7 @@ class ContinuousBatchingServer:
                 self.pool.append_placeholder(a.slot, 1)
                 if a.emitted == 1:
                     a.first_token_us = clock
-                if a.emitted >= len(a.tokens):
+                if a.emitted >= a.target_tokens:
                     self._finish(a, clock)
                     finished.add(id(a))
                 elif (decode_timeout is not None
@@ -1618,9 +1619,8 @@ class ContinuousBatchingServer:
                 # controller observes this iteration's signals; any
                 # returned override installs a validated replacement
                 # config that the next iteration's planning reads.
-                arrived = sum(1 for t in pending if t.arrival_us <= clock)
-                moves = self._controller.tick(clock, self.stats,
-                                              queue_depth=arrived)
+                moves = self._controller.tick(
+                    clock, self.stats, queue_depth=_arrived(pending, clock))
                 if moves:
                     self.config = replace(self.config, **moves)
         if self.session_stats is not None:

@@ -39,7 +39,12 @@ class TimedRequest:
 
 
 class LocalServer:
-    """FIFO, batch-1 serving: requests queue while one generation runs."""
+    """FIFO, batch-1 serving: requests queue while one generation runs.
+
+    Each request is priced as one prefill plus
+    :meth:`~repro.serving.session.InferenceSession.output_length` decode
+    steps at the session's phase costs.
+    """
 
     def __init__(self, session: InferenceSession) -> None:
         self.session = session
@@ -53,16 +58,21 @@ class LocalServer:
         clock = 0.0
         for timed in ordered:
             start = max(clock, timed.arrival_us)
-            result = self.session.generate(timed.request)
-            first_token = start + result.prefill_us + result.per_token_us
-            finish = start + result.total_us
+            prompt_len = len(np.atleast_1d(timed.request.prompt))
+            n_tokens = self.session.output_length(timed.request)
+            prefill_us = self.session.costs.prefill_us(prompt_len)
+            per_token_us = self.session.costs.per_token_us()
+            first_token = start + prefill_us + per_token_us
+            # Service time is summed first, as GenerationResult.total_us
+            # does: float addition is not associative.
+            finish = start + (prefill_us + per_token_us * n_tokens)
             self.stats.add(RequestTiming(
                 arrival_us=timed.arrival_us,
                 start_us=start,
                 first_token_us=first_token,
                 finish_us=finish,
-                prompt_tokens=len(np.atleast_1d(timed.request.prompt)),
-                generated_tokens=result.n_tokens,
+                prompt_tokens=prompt_len,
+                generated_tokens=n_tokens,
             ))
             clock = finish
         return self.stats

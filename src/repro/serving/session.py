@@ -1,17 +1,21 @@
-"""Inference sessions: real tokens, simulated clocks.
+"""Inference sessions: functional tokens, simulated clocks.
 
 An :class:`InferenceSession` couples the two halves of the reproduction:
 
 - the **functional** stack generates actual tokens (optionally through the
-  Expert Deferral engine), so outputs are real model behavior;
+  Expert Deferral engine): :meth:`InferenceSession.generate` streams real
+  model output to direct callers and examples;
 - the **performance** stack prices each phase on the simulated machine, so
   the session reports the TTFT/TPOT a Table-1-scale deployment would see.
 
 Despite the name, a session is *not* a standalone serving loop and holds
-no multi-turn state: it is the token/cost backend shared by both servers
+no multi-turn state: it is the length/cost backend shared by both servers
 -- the batch-1 :class:`~repro.serving.server.LocalServer` and the
 iteration-level :class:`~repro.serving.continuous.
-ContinuousBatchingServer` -- and every ``generate`` call is stateless.
+ContinuousBatchingServer`.  The servers schedule output *lengths*, read
+from :meth:`InferenceSession.output_length`: every ``generate`` call is
+stateless and runs to ``max_new_tokens`` unless a stop token ends it, so
+the functional model runs only for requests that carry a stop token.
 Conversational KV state across turns (shared system prompts, earlier
 turns' pages) lives in the engine's radix prefix cache
 (:mod:`repro.serving.prefix_cache`), not here.
@@ -163,3 +167,14 @@ class InferenceSession:
                 on_token(int(t), clock)
         return GenerationResult(tokens=tokens, prefill_us=prefill_us,
                                 per_token_us=per_token)
+
+    def output_length(self, request: GenerationRequest) -> int:
+        """How many tokens serving ``request`` emits.
+
+        Without a stop token generation always runs to
+        ``max_new_tokens``, so no forward pass is needed; with one, only
+        the functional model knows where the stop token lands.
+        """
+        if request.stop_token is None:
+            return request.max_new_tokens
+        return self.generate(request).n_tokens

@@ -756,3 +756,32 @@ def test_controller_adaptive_bit_reproducible(wl, cfg, ctrl):
     assert stats.timings == again.timings
     assert stats.summary() == again.summary()
     assert c.trace() == again.controller.trace()
+
+
+# -- controller queue depth: O(log N) arrived count ---------------------------
+
+from repro.serving import GenerationRequest, TimedRequest  # noqa: E402
+from repro.serving.continuous import _arrived  # noqa: E402
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrivals=st.lists(st.integers(0, 20).map(float), max_size=30),
+       deletions=st.lists(st.integers(0, 10**6), max_size=12))
+def test_arrived_count_matches_linear_scan(arrivals, deletions):
+    """The engine's pending stack is arrival-descending and admission
+    deletes from its interior or pops its head; the bisected count of
+    arrived requests equals the linear scan at, between and beyond
+    every arrival (ties included)."""
+    request = GenerationRequest(prompt=np.array([1]), max_new_tokens=1)
+    pending = sorted((TimedRequest(a, request) for a in arrivals),
+                     key=lambda t: -t.arrival_us)
+    for d in deletions:
+        if not pending:
+            break
+        del pending[d % len(pending)]
+    points = sorted(set(arrivals)) or [0.0]
+    clocks = (points + [(a + b) / 2 for a, b in zip(points, points[1:])]
+              + [points[0] - 1.0, points[-1] + 1.0])
+    for clock in clocks:
+        assert _arrived(pending, clock) == sum(
+            1 for t in pending if t.arrival_us <= clock)

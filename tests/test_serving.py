@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.model import DS3, MoETransformer, tiny_config
 from repro.serving import (
+    ContinuousBatchingServer,
     GenerationRequest,
     InferenceSession,
     LocalServer,
@@ -166,3 +167,40 @@ class TestLocalServer:
         for key in ("ttft_p50_ms", "ttft_p95_ms", "tpot_p50_ms",
                     "queue_p95_ms", "tokens_per_s"):
             assert key in summary
+
+
+class TestOutputLength:
+    def test_stop_token_ends_request_in_both_servers(self, session):
+        """A stop token ends the request where greedy generation emits
+        it, in the batch-1 and the continuous server alike."""
+        prompt = np.array([3, 1, 4, 1, 5])
+        tokens = session.generate(
+            GenerationRequest(prompt, max_new_tokens=8)).tokens
+        k = next(i for i in range(1, len(tokens))
+                 if tokens[i] not in tokens[:i])
+        stop = GenerationRequest(prompt, max_new_tokens=8,
+                                 stop_token=int(tokens[k]))
+        assert session.output_length(stop) == k + 1
+        workload = [TimedRequest(0.0, stop),
+                    TimedRequest(0.0, GenerationRequest(prompt, 8))]
+        for server in (LocalServer(session),
+                       ContinuousBatchingServer(session)):
+            stats = server.replay(workload)
+            assert sorted(t.generated_tokens for t in stats.timings) == [
+                k + 1, 8]
+
+    def test_lengths_need_no_forward_pass(self, session, monkeypatch):
+        """Without stop tokens neither server runs the functional model,
+        and the replay is bit-identical to one with a working model."""
+        workload = poisson_workload(
+            6, 2e5, prompt_len=8, max_new_tokens=5,
+            vocab_size=session.model.config.vocab_size, seed=3)
+        want = [LocalServer(session).replay(workload).summary(),
+                ContinuousBatchingServer(session).replay(workload).summary()]
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("functional forward pass ran")
+        monkeypatch.setattr(session.model, "generate", no_forward)
+        got = [LocalServer(session).replay(workload).summary(),
+               ContinuousBatchingServer(session).replay(workload).summary()]
+        assert got == want
