@@ -28,7 +28,7 @@ cost model:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -88,25 +88,18 @@ class StepPerturbation:
         """Memoization key for cost models pricing under this perturbation."""
         return (self.cpu_scale, self.pcie_scale, self.numa_scale)
 
-    def sim_hook(self) -> Callable[[Task, float], float]:
+    def sim_hook(self) -> DurationScaling:
         """A ``Simulator(perturb=...)`` hook applying this perturbation.
 
         CPU tasks stretch by :attr:`cpu_time_scale`; PCIe tasks stretch by
         ``1 / pcie_scale``; GPU/host tasks are untouched (the GPU itself
-        is not a modelled fault domain).
+        is not a modelled fault domain).  The hook is a hashable value
+        object: equal multipliers give equal, equally-hashed hooks, so
+        step pricing memoized on the hook
+        (:func:`repro.sched.decode.batched_step_time_us`) shares one
+        entry across equal perturbations.
         """
-        cpu_mult = self.cpu_time_scale
-        pcie_mult = 1.0 / self.pcie_scale
-
-        def perturb(task: Task, now: float) -> float:
-            name = task.resource.name
-            if name.startswith("cpu"):
-                return task.duration * cpu_mult
-            if name.startswith("pcie"):
-                return task.duration * pcie_mult
-            return task.duration
-
-        return perturb
+        return DurationScaling(self.cpu_time_scale, 1.0 / self.pcie_scale)
 
     def degrade_link(self, link: InterconnectSpec) -> InterconnectSpec:
         """``link`` with PCIe/UPI bandwidth scaled by this perturbation.
@@ -117,6 +110,26 @@ class StepPerturbation:
         """
         return degraded_link(link, pcie_scale=self.pcie_scale,
                              cross_socket_scale=1.0 / self.numa_scale)
+
+
+@dataclass(frozen=True)
+class DurationScaling:
+    """Simulator duration hook scaling tasks by resource-name prefix.
+
+    ``cpu*`` task durations are multiplied by ``cpu_mult``, ``pcie*``
+    ones by ``pcie_mult``; every other resource keeps its duration.
+    """
+
+    cpu_mult: float
+    pcie_mult: float
+
+    def __call__(self, task: Task, now: float) -> float:
+        name = task.resource.name
+        if name.startswith("cpu"):
+            return task.duration * self.cpu_mult
+        if name.startswith("pcie"):
+            return task.duration * self.pcie_mult
+        return task.duration
 
 
 IDENTITY_PERTURBATION = StepPerturbation()

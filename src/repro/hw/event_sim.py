@@ -37,6 +37,10 @@ class TaskState(Enum):
     DONE = "done"
 
 
+# Enum member lookups are slow; the event loop's hot paths use these.
+_PENDING, _QUEUED, _RUNNING, _DONE = TaskState
+
+
 class Task:
     """A unit of simulated work bound to one resource.
 
@@ -66,7 +70,7 @@ class Task:
         self.duration = float(duration)
         self.priority = priority
         self.meta = meta or {}
-        self.state = TaskState.PENDING
+        self.state = _PENDING
         self.start_time: Optional[float] = None
         self.end_time: Optional[float] = None
         self._remaining_deps = 0
@@ -75,7 +79,7 @@ class Task:
 
     def on_complete(self, fn: Callable[["Task"], None]) -> "Task":
         """Register a callback invoked (at simulated end time) on completion."""
-        if self.state is TaskState.DONE:
+        if self.state is _DONE:
             raise SimulationError(f"task {self.name!r} already completed")
         self._on_complete.append(fn)
         return self
@@ -102,33 +106,35 @@ class Resource:
         self.busy_time = 0.0  # accumulated task-occupancy (us * slots)
 
     def _enqueue(self, task: Task) -> None:
-        task.state = TaskState.QUEUED
+        task.state = _QUEUED
         heapq.heappush(self._queue, (task.priority, next(self._seq), task))
         # Defer dispatch to the event loop so that all tasks becoming ready
         # at the same instant enter the queue before any slot is assigned --
         # otherwise priorities would be ignored among same-time arrivals.
-        self.sim.after(0.0, self._dispatch)
+        self.sim._ready.append((Resource._dispatch, self))
 
     def _dispatch(self) -> None:
-        while self._in_flight < self.capacity and self._queue:
-            __, __, task = heapq.heappop(self._queue)
-            self._start(task)
+        queue = self._queue
+        while queue and self._in_flight < self.capacity:
+            self._start(heapq.heappop(queue)[2])
 
     def _start(self, task: Task) -> None:
+        sim = self.sim
         self._in_flight += 1
-        task.state = TaskState.RUNNING
-        task.start_time = self.sim.now
-        self.sim.after(self.sim._effective_duration(task),
-                       lambda: self._finish(task))
+        task.state = _RUNNING
+        task.start_time = now = sim.now
+        duration = (task.duration if sim.perturb is None
+                     else sim._effective_duration(task))
+        sim._post(now + duration, self._finish, task)
 
     def _finish(self, task: Task) -> None:
-        task.state = TaskState.DONE
+        task.state = _DONE
         task.end_time = self.sim.now
         self.busy_time += task.end_time - task.start_time
         self._in_flight -= 1
         for dep in task._dependents:
             dep._remaining_deps -= 1
-            if dep._remaining_deps == 0 and dep.state is TaskState.PENDING:
+            if not dep._remaining_deps and dep.state is _PENDING:
                 dep.resource._enqueue(dep)
         for fn in task._on_complete:
             fn(task)
@@ -139,7 +145,14 @@ class Resource:
 
 
 class Simulator:
-    """Event loop: a priority queue of timed callbacks plus task bookkeeping.
+    """Event loop: timed callbacks plus task bookkeeping.
+
+    Events fire in ``(time, seq)`` order, ``seq`` being scheduling order.
+    Future events wait on a heap of ``(time, seq, fn, arg)`` tuples;
+    events scheduled *at* the current instant (every zero-delay enqueue
+    and dispatch) skip the heap and go to a FIFO.  Heap events due now
+    were all scheduled before the clock reached now, so firing them
+    first and then the FIFO is exactly ``(time, seq)`` order.
 
     ``perturb``, when given, is a duration hook ``(task, now) -> duration``
     consulted at each task's *start* time; fault injection
@@ -154,15 +167,14 @@ class Simulator:
     ) -> None:
         self.now = 0.0
         self.perturb = perturb
-        self._events: list[tuple[float, int, Callable[[], None]]] = []
+        self._events: list[tuple[float, int, Callable[[Any], None], Any]] = []
+        self._ready: deque[tuple[Callable[[Any], None], Any]] = deque()
         self._seq = itertools.count()
         self.all_tasks: list[Task] = []
         self._resources: dict[str, Resource] = {}
 
     def _effective_duration(self, task: Task) -> float:
-        """The duration a task occupies its resource, after perturbation."""
-        if self.perturb is None:
-            return task.duration
+        """The duration a task occupies its resource, under ``perturb``."""
         duration = float(self.perturb(task, self.now))
         if not math.isfinite(duration) or duration < 0:
             raise SimulationError(
@@ -198,10 +210,17 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event in the past ({time} < now={self.now})"
             )
-        heapq.heappush(self._events, (time, next(self._seq), fn))
+        self._post(time, _call, fn)
 
     def after(self, delay: float, fn: Callable[[], None]) -> None:
         self.at(self.now + delay, fn)
+
+    def _post(self, time: float, fn: Callable[[Any], None], arg: Any) -> None:
+        """Schedule ``fn(arg)`` at ``time`` (never earlier than now)."""
+        if time == self.now:
+            self._ready.append((fn, arg))
+        else:
+            heapq.heappush(self._events, (time, next(self._seq), fn, arg))
 
     # -- tasks --------------------------------------------------------------
 
@@ -219,26 +238,22 @@ class Simulator:
         The task queues on its resource as soon as all ``deps`` are done
         (immediately if they already are, or if there are none).
         """
-        task = Task(name, resource, duration, priority=priority, meta=meta)
+        task = Task(name, resource, duration, priority, meta)
         self.all_tasks.append(task)
-        pending = [d for d in deps if d.state is not TaskState.DONE]
-        task._remaining_deps = len(pending)
-        for dep in pending:
-            dep._dependents.append(task)
+        for dep in deps:
+            if dep.state is not _DONE:
+                dep._dependents.append(task)
+                task._remaining_deps += 1
         if task._remaining_deps == 0:
             # Defer enqueue to the event loop so that submission order inside
             # a callback does not depend on Python evaluation order.
-            self.after(0.0, lambda: self._enqueue_if_pending(task))
+            self._ready.append((_enqueue_if_pending, task))
         return task
-
-    def _enqueue_if_pending(self, task: Task) -> None:
-        if task.state is TaskState.PENDING:
-            task.resource._enqueue(task)
 
     @property
     def completed_tasks(self) -> list[Task]:
         """All tasks that have finished executing, in submission order."""
-        return [t for t in self.all_tasks if t.state is TaskState.DONE]
+        return [t for t in self.all_tasks if t.state is _DONE]
 
     # -- main loop ----------------------------------------------------------
 
@@ -256,15 +271,22 @@ class Simulator:
 
         Returns the final simulated time.
         """
-        while self._events:
-            if until is not None and self._events[0][0] > until:
-                self.now = until
-                return self.now
-            time, __, fn = heapq.heappop(self._events)
-            if time < self.now:
-                raise SimulationError("event queue went backwards in time")
-            self.now = time
-            fn()
+        events, ready, pop = self._events, self._ready, heapq.heappop
+        if until is not None and until < self.now and (events or ready):
+            self.now = until     # everything left is due after ``until``
+            return self.now
+        now = self.now
+        while True:
+            if events and events[0][0] == now:
+                __, __, fn, arg = pop(events)
+            elif ready:
+                fn, arg = ready.popleft()
+            elif events and (until is None or events[0][0] <= until):
+                self.now = now = events[0][0]
+                continue
+            else:
+                break
+            fn(arg)
         if until is not None and until > self.now:
             self.now = until
         return self.now
@@ -275,10 +297,19 @@ class Simulator:
         A stuck task indicates a dependency cycle or an unsatisfiable wait.
         """
         end = self.run()
-        stuck = [t for t in self.all_tasks if t.state is not TaskState.DONE]
+        stuck = [t for t in self.all_tasks if t.state is not _DONE]
         if stuck:
             raise SimulationError(f"{len(stuck)} tasks never completed: {stuck[:5]}")
         return end
+
+
+def _call(fn: Callable[[], None]) -> None:
+    fn()
+
+
+def _enqueue_if_pending(task: Task) -> None:
+    if task.state is _PENDING:
+        task.resource._enqueue(task)
 
 
 @dataclass

@@ -16,6 +16,7 @@ One decode step (one token) is lowered into simulator tasks:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from typing import Callable, Optional
@@ -29,6 +30,10 @@ from .workload import (DecodeLayerWork, HybridChunkWork, chunk_only_work,
                        merge_hybrid_work)
 
 MERGE_KERNEL_US = 2.0  # elementwise merge of CPU and GPU activations
+
+# Distinct step graphs the per-process price memo keeps (LRU).  A chaos
+# storm replay prices ~180 distinct graphs; a fleet replay far fewer.
+STEP_PRICE_CACHE_SIZE = 1024
 
 # Fault-injection duration hook forwarded to the simulator (see
 # repro.faults.StepPerturbation.sim_hook).
@@ -236,13 +241,33 @@ def batched_step_time_us(
     the returned cost reflects coalesced per-expert GEMMs and
     aggregated-ARI kernel dispatch; under the per-expert dispatch it
     reflects one streamed GEMM launch per resident expert instead.
+
+    Results are memoized per process by graph content: the key is
+    ``(tuple(works), config, machine, n_steps, warmup_steps, perturb)``,
+    all hashed by value except a ``perturb`` hook that is not a value
+    object (:meth:`repro.faults.StepPerturbation.sim_hook` is one), which
+    hashes by identity.  A hit returns the float a fresh simulation would.
     """
     if n_steps <= 0:
         raise SchedulingError("n_steps must be positive")
     if warmup_steps < 0:
         raise SchedulingError("warmup_steps must be >= 0")
+    return _simulated_step_us(tuple(works), config, machine, n_steps,
+                           warmup_steps, perturb)
+
+
+@functools.lru_cache(maxsize=STEP_PRICE_CACHE_SIZE)
+def _simulated_step_us(
+    works: tuple[DecodeLayerWork, ...],
+    config: DecodeScheduleConfig,
+    machine: MachineSpec,
+    n_steps: int,
+    warmup_steps: int,
+    perturb: PerturbHook,
+) -> float:
+    """:func:`batched_step_time_us` behind the memo, arguments validated."""
     sim = Simulator(perturb=perturb)
-    heads = _chain_decode_steps(sim, works, config, machine,
+    heads = _chain_decode_steps(sim, list(works), config, machine,
                                 warmup_steps + n_steps)
     total = sim.drain()
     if warmup_steps == 0:

@@ -40,9 +40,13 @@ def kv_token_bytes(preset: ModelPreset) -> float:
     return float(2 * preset.hidden * ACTIVATION_BYTES)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecodeLayerWork:
-    """Simulated durations for one layer's single-token decode step."""
+    """Simulated durations for one layer's single-token decode step.
+
+    Slotted: the step-price memo keeps the works of every distinct
+    priced graph alive (:func:`repro.sched.decode.batched_step_time_us`).
+    """
 
     gpu_attn_us: float          # attention + dense projections on GPU
     gpu_shared_us: float        # shared experts on GPU
