@@ -183,7 +183,7 @@ def _price_step(server, hit_rate, n_hit_experts, batch=12, ctx=64):
         n_hit_experts=n_hit_experts if hit_tokens else 0,
         uploads=(), evictions=(), bytes_transferred=0.0,
         transfer_us=0.0, stall_us=0.0)
-    return server.costs.cached_decode_step_us([ctx] * batch, res)
+    return server.costs.decode_step_us([ctx] * batch, cache_step=res)
 
 
 def _serving_sweep():

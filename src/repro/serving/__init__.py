@@ -11,6 +11,7 @@ from .continuous import (
     BatchCostModel,
     BatchSchedulerConfig,
     ContinuousBatchingServer,
+    StepShape,
     serving_expert_cache,
 )
 from .controller import (
@@ -75,7 +76,7 @@ from .traffic import (
 
 __all__ = [
     "BatchCostModel", "BatchSchedulerConfig", "ContinuousBatchingServer",
-    "serving_expert_cache",
+    "StepShape", "serving_expert_cache",
     "ControllerConfig", "ControllerStats", "KnobDecision",
     "OnlineController",
     "FleetConfig", "FleetRouter", "FleetStats", "ROUTING_POLICIES",

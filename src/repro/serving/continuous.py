@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -86,7 +86,6 @@ from ..sched.cuda_graph import GraphCache, GraphCacheConfig
 from ..sched.decode import (
     DecodeScheduleConfig,
     batched_step_time_us,
-    cache_aware_step_time_us,
     kv_swap_transfer_us,
 )
 from ..sched.kv_offload import kv_page_transfer_us
@@ -136,6 +135,16 @@ NAIVE_UPLOAD_ATTEMPTS = 8
 # Per-expert token counts of the representative MoE layer for one decode
 # iteration; lets benchmarks inject non-stationary routing into the server.
 RoutingStream = Callable[[int, int], np.ndarray]   # (iteration, batch) -> counts
+
+# How GPU-resident expert GEMMs are priced (see BatchSchedulerConfig).
+GEMM_DISPATCH_MODES = ("legacy", "per-expert", "grouped", "auto")
+
+
+def _check_gemm_dispatch(mode: str) -> None:
+    if mode not in GEMM_DISPATCH_MODES:
+        raise ConfigError(
+            f"unknown gemm_dispatch {mode!r}; expected one of "
+            + ", ".join(map(repr, GEMM_DISPATCH_MODES)))
 
 
 @dataclass(frozen=True)
@@ -214,11 +223,7 @@ class BatchSchedulerConfig:
             raise ConfigError(
                 f"unknown chunk_policy {self.chunk_policy!r}; expected "
                 "'decode-priority' or 'prefill-priority'")
-        if self.gemm_dispatch not in ("legacy", "per-expert", "grouped",
-                                      "auto"):
-            raise ConfigError(
-                f"unknown gemm_dispatch {self.gemm_dispatch!r}; expected "
-                "'legacy', 'per-expert', 'grouped' or 'auto'")
+        _check_gemm_dispatch(self.gemm_dispatch)
         if self.pipeline_stages <= 0:
             raise ConfigError("pipeline_stages must be positive")
         # Fail fast on typo'd backend names: raises ValueError listing
@@ -226,15 +231,41 @@ class BatchSchedulerConfig:
         resolve_backend(self.backend)
 
 
+class StepShape(NamedTuple):
+    """Memo key of one priced iteration: everything its task graph depends on.
+
+    ``batch`` is the decode batch size (0 for a chunk-only iteration:
+    nothing decodable yet), ``ctx`` its longest context's bucket (0 with
+    no batch), ``chunk`` the co-scheduled prefill chunk's bucket (0: no
+    chunk).  ``cache`` is the expert cache's outcome: ``None`` when the
+    cache was not consulted (none attached, cache-bypass, or a chunk-only
+    iteration), ``()`` when it saw no routed tokens, else ``(hit-rate
+    bucket, hit experts, dispatch arm, contiguity bucket)`` -- the arm is
+    ``None`` (with no contiguity bucket) under legacy blob pricing.
+    Fault perturbations stretch durations, not the graph, so they are
+    not part of the shape; the shape doubles as the CUDA-graph key.
+    """
+
+    batch: int
+    ctx: int
+    chunk: int = 0
+    cache: tuple | None = None
+
+
 class BatchCostModel:
     """Caches simulated batched prefill/decode step costs.
 
-    Decode steps are keyed by ``(batch_size, context bucket)``; each entry
-    runs the full task-graph simulator once via
-    :func:`~repro.sched.decode.batched_step_time_us` and keeps the
-    :class:`~repro.sched.workload.BatchedDispatchSummary` for
-    observability.  Batched prefill cost is keyed by the total prompt
-    tokens of the co-admitted requests, bucketed like the session's
+    Every decode iteration -- plain, carrying a prefill chunk, under an
+    expert-cache outcome, or fault-perturbed -- is priced by the one
+    pricer :meth:`decode_step_us`.  It buckets the iteration into a
+    :class:`StepShape`; the shape's layer works are built once (base
+    decode works, then :func:`~repro.sched.workload.apply_expert_cache`,
+    then :func:`~repro.sched.workload.merge_hybrid_work`, or
+    :func:`~repro.sched.workload.chunk_only_work` for an empty batch) and
+    each ``(shape, perturbation price key)`` is simulated once via
+    :func:`~repro.sched.decode.batched_step_time_us`.  Batched prefill
+    cost is keyed by the total prompt tokens of the co-admitted requests,
+    bucketed like the session's
     :class:`~repro.serving.session.PhaseCostModel` -- but returning the
     whole-pass cost (prefill is overhead-dominated, so cost is flat
     across a bucket, not proportional to tokens).
@@ -252,9 +283,7 @@ class BatchCostModel:
                  gemm_dispatch: str = "legacy",
                  pipeline_stages: int = 1,
                  backend: "str | KernelBackend | None" = None) -> None:
-        if gemm_dispatch not in ("legacy", "per-expert", "grouped", "auto"):
-            raise ConfigError(
-                f"unknown gemm_dispatch {gemm_dispatch!r}")
+        _check_gemm_dispatch(gemm_dispatch)
         if pipeline_stages <= 0:
             raise ConfigError("pipeline_stages must be positive")
         self.session = session
@@ -271,34 +300,21 @@ class BatchCostModel:
         self.pipeline_stages = pipeline_stages
         self._pipeline = (PipelineConfig(pipeline_stages)
                           if pipeline_stages > 1 else None)
-        # (stage ratio, boundary activation bytes) per step-shape memo key.
-        self._pipeline_factors: dict[tuple, tuple[float, tuple[float, ...]]]\
-            = {}
-        self._step: dict[tuple[int, int], float] = {}
-        self._summaries: dict[tuple[int, int], BatchedDispatchSummary] = {}
-        self._works: dict[tuple[int, int], list[DecodeLayerWork]] = {}
-        self._cached_step: dict[tuple, float] = {}
-        self._cached_works: dict[tuple, list[DecodeLayerWork]] = {}
-        # "auto" dispatch decisions, keyed by (shape, cache outcome,
-        # contiguity bucket) -- both arms are priced once, then reused.
-        self._dispatch_choice: dict[tuple, str] = {}
+        # Base decode and marginal chunk layer works (with their ARI
+        # dispatch summaries), keyed by (batch, context bucket) and
+        # (batch, chunk bucket).
+        self._decode: dict[tuple[int, int], tuple[
+            list[DecodeLayerWork], BatchedDispatchSummary]] = {}
+        self._chunks: dict[tuple[int, int], tuple[
+            list[HybridChunkWork], BatchedDispatchSummary]] = {}
+        # Every priced shape's layer works, and its simulated price per
+        # perturbation price key (None: unperturbed).
+        self._works: dict[StepShape, list[DecodeLayerWork]] = {}
+        self._prices: dict[tuple[StepShape, tuple | None], float] = {}
+        # (stage ratio, boundary activation bytes) per clean step shape.
+        self._pipeline_factors: dict[
+            StepShape, tuple[float, tuple[float, ...]]] = {}
         self._prefill: dict[int, float] = {}
-        # Fault-perturbed variants, additionally keyed by the
-        # perturbation's price_key (piecewise-constant per fault window).
-        self._perturbed: dict[tuple, float] = {}
-        self._cached_pert: dict[tuple, float] = {}
-        # Hybrid (decode + prefill-chunk) iteration pricing: chunk layer
-        # works keyed by (batch size, chunk bucket); merged steps by the
-        # decode key plus the chunk bucket; cached/perturbed variants
-        # compose the existing cache and fault keys on top.
-        self._chunk_works: dict[tuple[int, int], list[HybridChunkWork]] = {}
-        self._chunk_summaries: dict[
-            tuple[int, int], BatchedDispatchSummary] = {}
-        self._hybrid_works: dict[tuple, list[DecodeLayerWork]] = {}
-        self._hybrid: dict[tuple, float] = {}
-        self._hybrid_pert: dict[tuple, float] = {}
-        self._cached_hybrid: dict[tuple, float] = {}
-        self._cached_hybrid_pert: dict[tuple, float] = {}
 
     @staticmethod
     def _bucket(value: int, buckets: tuple[int, ...]) -> int:
@@ -306,12 +322,6 @@ class BatchCostModel:
             if value <= b:
                 return b
         return buckets[-1]
-
-    def _key(self, context_lens: list[int]) -> tuple[int, int]:
-        if not context_lens:
-            raise ConfigError("decode step needs at least one request")
-        return (len(context_lens),
-                self._bucket(max(context_lens), self.CTX_BUCKETS))
 
     def _schedule_config(self) -> DecodeScheduleConfig:
         costs = self.session.costs
@@ -321,218 +331,6 @@ class BatchCostModel:
             top_k=costs.preset.top_k,
             n_deferred=self.session.n_deferred,
         )
-
-    def decode_step_us(self, context_lens: list[int]) -> float:
-        """Steady-state cost of one decode iteration over these requests."""
-        costs = self.session.costs
-        key = self._key(context_lens)
-        if key not in self._step:
-            bsz, ctx = key
-            works, summary = batched_decode_works(
-                costs.system, costs.preset, self.machine, costs.dtype,
-                context_lens=[ctx] * bsz, ari_threshold=self.ari_threshold,
-                backend=self.backend,
-            )
-            self._step[key] = batched_step_time_us(
-                works, self._schedule_config(), self.machine
-            )
-            self._summaries[key] = summary
-            self._works[key] = works
-        return self._step[key]
-
-    def attn_window_us(self, context_lens: list[int]) -> float:
-        """GPU attention time of one iteration -- the prefetch window."""
-        key = self._key(context_lens)
-        self.decode_step_us(context_lens)
-        return sum(w.gpu_attn_us for w in self._works[key])
-
-    def _hit_bucket(self, cache_step: CacheStepResult) -> int:
-        return round(self.HIT_RATE_BUCKETS * cache_step.hit_tokens
-                     / cache_step.total_tokens)
-
-    def _contig_idx(self, cache_step: CacheStepResult) -> int:
-        return round(self.CONTIG_BUCKETS * cache_step.layout_contiguity)
-
-    def _cached_works_for(
-        self, key: tuple[int, int], hit_bucket: int, n_hit_experts: int,
-        dispatch: ExpertGemmDispatch | None,
-    ) -> tuple[tuple, list[DecodeLayerWork]]:
-        """Memoized cache-repriced works for one (shape, outcome, dispatch).
-
-        The legacy (``dispatch is None``) memo key is exactly the
-        pre-dispatch shape ``(*key, hit_bucket, n_hit_experts)`` so legacy
-        pricing stays bit-identical; explicit dispatch arms extend it with
-        the mode and contiguity bucket.
-        """
-        if dispatch is None:
-            ck = (*key, hit_bucket, n_hit_experts)
-        else:
-            ck = (*key, hit_bucket, n_hit_experts, dispatch.mode,
-                  round(self.CONTIG_BUCKETS * dispatch.layout_contiguity))
-        if ck not in self._cached_works:
-            costs = self.session.costs
-            bsz = key[0]
-            layer_tokens = bsz * costs.preset.top_k
-            hit_tokens = round(layer_tokens * hit_bucket
-                               / self.HIT_RATE_BUCKETS)
-            self._cached_works[ck] = [
-                w if w.cpu_routed_us <= 0.0 else apply_expert_cache(
-                    w, costs.preset, self.machine, costs.dtype,
-                    total_tokens=layer_tokens, hit_tokens=hit_tokens,
-                    n_hit_experts=n_hit_experts, dispatch=dispatch,
-                )
-                for w in self._works[key]
-            ]
-        return ck, self._cached_works[ck]
-
-    def _arm_step_us(self, key: tuple[int, int], hit_bucket: int,
-                     n_hit_experts: int,
-                     dispatch: ExpertGemmDispatch | None) -> float:
-        """Clean cached-step price of one dispatch arm (memoized)."""
-        ck, works = self._cached_works_for(key, hit_bucket, n_hit_experts,
-                                           dispatch)
-        if ck not in self._cached_step:
-            self._cached_step[ck] = cache_aware_step_time_us(
-                works, self._schedule_config(), self.machine,
-            )
-        return self._cached_step[ck]
-
-    def _resolve_dispatch(self, key: tuple[int, int], hit_bucket: int,
-                          n_hit_experts: int,
-                          contig_idx: int) -> ExpertGemmDispatch | None:
-        """The dispatch arm pricing uses for one quantized cache outcome.
-
-        ``"legacy"`` (and any outcome with no hit experts) keeps the
-        blob model; ``"auto"`` prices the per-expert and grouped arms
-        through the full task-graph simulator once per quantized outcome
-        and picks the cheaper, memoizing the decision.
-        """
-        if self.gemm_dispatch == "legacy" or n_hit_experts == 0:
-            return None
-        contig = contig_idx / self.CONTIG_BUCKETS
-        if self.gemm_dispatch != "auto":
-            return ExpertGemmDispatch(self.gemm_dispatch, contig)
-        dk = (*key, hit_bucket, n_hit_experts, contig_idx)
-        if dk not in self._dispatch_choice:
-            per = self._arm_step_us(
-                key, hit_bucket, n_hit_experts,
-                ExpertGemmDispatch("per-expert", contig))
-            grp = self._arm_step_us(
-                key, hit_bucket, n_hit_experts,
-                ExpertGemmDispatch("grouped", contig))
-            self._dispatch_choice[dk] = ("grouped" if grp <= per
-                                         else "per-expert")
-        return ExpertGemmDispatch(self._dispatch_choice[dk], contig)
-
-    def gemm_dispatch_for(
-        self, context_lens: list[int], cache_step: CacheStepResult,
-    ) -> ExpertGemmDispatch | None:
-        """The dispatch arm chosen for this iteration's cache outcome.
-
-        ``None`` under legacy pricing or when nothing hit; the serving
-        engine uses this for the ``grouped_gemm_*`` counters and the
-        graph-topology key.
-        """
-        if cache_step.total_tokens == 0:
-            return None
-        key = self._key(context_lens)
-        self.decode_step_us(context_lens)          # populate works cache
-        return self._resolve_dispatch(
-            key, self._hit_bucket(cache_step), cache_step.n_hit_experts,
-            self._contig_idx(cache_step))
-
-    def _cached_key_works(
-        self, context_lens: list[int], cache_step: CacheStepResult,
-    ) -> tuple[tuple, list[DecodeLayerWork]]:
-        """Memo key and cache-repriced layer works for one cache outcome.
-
-        MoE layers are repriced with cache hits as GPU expert work and
-        misses on the CPU (:func:`repro.sched.workload.apply_expert_cache`,
-        hit rate quantized to 1/``HIT_RATE_BUCKETS`` and layout
-        contiguity to 1/``CONTIG_BUCKETS`` for memoization), under the
-        dispatch arm :meth:`_resolve_dispatch` selects.  Shared by the
-        clean and fault-perturbed cached pricing paths so both see the
-        same repriced task graph.
-        """
-        key = self._key(context_lens)
-        self.decode_step_us(context_lens)          # populate works cache
-        hit_bucket = self._hit_bucket(cache_step)
-        dispatch = self._resolve_dispatch(
-            key, hit_bucket, cache_step.n_hit_experts,
-            self._contig_idx(cache_step))
-        return self._cached_works_for(key, hit_bucket,
-                                      cache_step.n_hit_experts, dispatch)
-
-    def cached_decode_step_us(self, context_lens: list[int],
-                              cache_step: CacheStepResult) -> float:
-        """One iteration's cost under the expert cache's latest outcome.
-
-        The cache step's non-overlapped prefetch stall is added on top of
-        the memoized repriced step (see :meth:`_cached_key_works`).
-        """
-        if cache_step.total_tokens == 0:
-            return self.decode_step_us(context_lens) + cache_step.stall_us
-        ck, works = self._cached_key_works(context_lens, cache_step)
-        if ck not in self._cached_step:
-            self._cached_step[ck] = cache_aware_step_time_us(
-                works, self._schedule_config(), self.machine,
-            )
-        return self._cached_step[ck] + cache_step.stall_us
-
-    def perturbed_decode_step_us(self, context_lens: list[int],
-                                 pert: StepPerturbation) -> float:
-        """Decode-iteration cost under an active fault perturbation.
-
-        Reruns the task-graph simulation with the perturbation's duration
-        hook installed, so stragglers/NUMA contention stretch CPU tasks
-        and PCIe degradation stretches transfers *inside* the overlap
-        structure (a slower link may hide behind attention rather than
-        adding linearly).  Identity perturbations short-circuit to the
-        unperturbed memo so a run with an empty fault plan is
-        bit-identical to one with no injector at all.
-        """
-        if pert.prices_identity:
-            return self.decode_step_us(context_lens)
-        key = self._key(context_lens)
-        self.decode_step_us(context_lens)          # populate works cache
-        pk = (key, pert.price_key())
-        if pk not in self._perturbed:
-            self._perturbed[pk] = batched_step_time_us(
-                self._works[key], self._schedule_config(),
-                self.machine, perturb=pert.sim_hook(),
-            )
-        return self._perturbed[pk]
-
-    def perturbed_cached_step_us(self, context_lens: list[int],
-                                 cache_step: CacheStepResult,
-                                 pert: StepPerturbation) -> float:
-        """Cache-aware iteration cost under an active fault perturbation.
-
-        Same repriced works as :meth:`cached_decode_step_us` (so the
-        cache's hit/miss split is identical), simulated under the
-        perturbation's duration hook; the cache step's stall -- already
-        computed against the degraded link by the caller -- rides on top.
-        """
-        if pert.prices_identity:
-            return self.cached_decode_step_us(context_lens, cache_step)
-        if cache_step.total_tokens == 0:
-            return (self.perturbed_decode_step_us(context_lens, pert)
-                    + cache_step.stall_us)
-        ck, works = self._cached_key_works(context_lens, cache_step)
-        pk = (ck, pert.price_key())
-        if pk not in self._cached_pert:
-            self._cached_pert[pk] = cache_aware_step_time_us(
-                works, self._schedule_config(), self.machine,
-                perturb=pert.sim_hook(),
-            )
-        return self._cached_pert[pk] + cache_step.stall_us
-
-    def dispatch_summary(self, context_lens: list[int]) -> BatchedDispatchSummary:
-        """The ARI dispatch decisions behind :meth:`decode_step_us`."""
-        self.decode_step_us(context_lens)
-        return self._summaries[self._key(context_lens)]
-
-    # -- hybrid (decode + prefill-chunk) iterations --------------------------
 
     def _hybrid_schedule_config(self) -> DecodeScheduleConfig:
         """Mixed iterations run with Expert Deferral disabled.
@@ -544,185 +342,208 @@ class BatchCostModel:
         """
         return replace(self._schedule_config(), n_deferred=0)
 
-    def _chunk_key(self, batch_size: int, chunk_tokens: int
-                   ) -> tuple[int, int]:
-        if chunk_tokens <= 0:
-            raise ConfigError("chunk_tokens must be positive")
-        return (batch_size, self._bucket(chunk_tokens, self.CHUNK_BUCKETS))
+    # -- step shapes ---------------------------------------------------------
 
-    def _chunk_layer_works(self, batch_size: int,
-                           chunk_tokens: int) -> list[HybridChunkWork]:
+    def step_shape(self, context_lens: list[int], chunk_tokens: int = 0,
+                   cache_step: CacheStepResult | None = None) -> StepShape:
+        """Bucket one iteration into its :class:`StepShape`.
+
+        ``chunk_tokens`` is the co-scheduled prefill chunk (0: none;
+        sizes past the largest bucket price as that bucket).  An empty
+        ``context_lens`` is a chunk-only iteration, which the expert
+        cache never sees.  ``cache_step`` is the expert cache's outcome
+        for this iteration: its hit rate is quantized to
+        1/``HIT_RATE_BUCKETS`` and its layout contiguity to
+        1/``CONTIG_BUCKETS``, and the GEMM dispatch arm is resolved
+        (``"auto"`` prices the per-expert and grouped arms and keeps the
+        cheaper).
+        """
+        if chunk_tokens < 0:
+            raise ConfigError("chunk_tokens must be >= 0 (0: no chunk)")
+        chunk = (self._bucket(chunk_tokens, self.CHUNK_BUCKETS)
+                 if chunk_tokens else 0)
+        if not context_lens:
+            if not chunk:
+                raise ConfigError("decode step needs at least one request")
+            return StepShape(0, 0, chunk)
+        batch = len(context_lens)
+        ctx = self._bucket(max(context_lens), self.CTX_BUCKETS)
+        if cache_step is None:
+            return StepShape(batch, ctx, chunk)
+        if cache_step.total_tokens == 0:
+            return StepShape(batch, ctx, chunk, ())
+        hit = round(self.HIT_RATE_BUCKETS * cache_step.hit_tokens
+                    / cache_step.total_tokens)
+        n_hit = cache_step.n_hit_experts
+        if self.gemm_dispatch == "legacy" or n_hit == 0:
+            return StepShape(batch, ctx, chunk, (hit, n_hit, None, None))
+        contig = round(self.CONTIG_BUCKETS * cache_step.layout_contiguity)
+        arm = self.gemm_dispatch
+        if arm == "auto":
+            # Both arms priced clean, without the chunk, once per
+            # quantized outcome (then memo hits).
+            per = self._price(StepShape(
+                batch, ctx, 0, (hit, n_hit, "per-expert", contig)))
+            grp = self._price(StepShape(
+                batch, ctx, 0, (hit, n_hit, "grouped", contig)))
+            arm = "grouped" if grp <= per else "per-expert"
+        return StepShape(batch, ctx, chunk, (hit, n_hit, arm, contig))
+
+    def _decode_layers(
+        self, batch: int, ctx: int,
+    ) -> tuple[list[DecodeLayerWork], BatchedDispatchSummary]:
+        key = (batch, ctx)
+        if key not in self._decode:
+            costs = self.session.costs
+            self._decode[key] = batched_decode_works(
+                costs.system, costs.preset, self.machine, costs.dtype,
+                context_lens=[ctx] * batch, ari_threshold=self.ari_threshold,
+                backend=self.backend,
+            )
+        return self._decode[key]
+
+    def _chunk_layers(
+        self, batch: int, chunk: int,
+    ) -> tuple[list[HybridChunkWork], BatchedDispatchSummary]:
         """Per-layer marginal chunk works, memoized on (batch, chunk bucket).
 
         Chunk sizes are bucketed like context lengths; the largest bucket
         prices every bigger chunk (serving configs should keep
         ``prefill_chunk_tokens`` at or below it).
         """
-        ck = self._chunk_key(batch_size, chunk_tokens)
-        if ck not in self._chunk_works:
+        key = (batch, chunk)
+        if key not in self._chunks:
             costs = self.session.costs
-            works, summary = hybrid_chunk_works(
+            self._chunks[key] = hybrid_chunk_works(
                 costs.system, costs.preset, self.machine, costs.dtype,
-                chunk_tokens=ck[1], batch_size=ck[0],
+                chunk_tokens=chunk, batch_size=batch,
                 ari_threshold=self.ari_threshold,
                 backend=self.backend,
             )
-            self._chunk_works[ck] = works
-            self._chunk_summaries[ck] = summary
-        return self._chunk_works[ck]
+        return self._chunks[key]
 
-    def _hybrid_key_works(
-        self, context_lens: list[int], chunk_tokens: int,
-    ) -> tuple[tuple, list[DecodeLayerWork]]:
-        """Memo key and merged layer works for one mixed iteration.
+    def _works_for(self, shape: StepShape) -> list[DecodeLayerWork]:
+        """The layer works of one shape (memoized).
 
-        Merges the decode batch's (unmodified) layer works with the
-        chunk's marginal works; an empty batch yields the chunk-only
-        iteration.  Shared by the clean and fault-perturbed hybrid
-        pricing paths.
+        Built in order: base decode works; MoE layers repriced for the
+        cache outcome (hits as GPU expert work, misses on the CPU); then
+        the chunk's marginal works merged on top -- the chunk's experts
+        stay on the CPU (prefill streams every active expert from DRAM
+        regardless of GPU residency).  An empty batch is the chunk alone.
         """
-        bsz = len(context_lens)
-        chunk_works = self._chunk_layer_works(bsz, chunk_tokens)
-        if bsz:
-            dkey = self._key(context_lens)
-            self.decode_step_us(context_lens)      # populate works cache
-            hk = (dkey, self._chunk_key(bsz, chunk_tokens)[1])
-            if hk not in self._hybrid_works:
-                self._hybrid_works[hk] = [
-                    merge_hybrid_work(d, c)
-                    for d, c in zip(self._works[dkey], chunk_works)
-                ]
-        else:
-            hk = (0, self._chunk_key(bsz, chunk_tokens)[1])
-            if hk not in self._hybrid_works:
-                self._hybrid_works[hk] = [
-                    chunk_only_work(c) for c in chunk_works
-                ]
-        return hk, self._hybrid_works[hk]
+        works = self._works.get(shape)
+        if works is not None:
+            return works
+        batch, ctx, chunk, cache = shape
+        if not batch:
+            works = [chunk_only_work(c)
+                     for c in self._chunk_layers(0, chunk)[0]]
+        elif chunk:
+            works = [merge_hybrid_work(d, c) for d, c in zip(
+                self._works_for(shape._replace(chunk=0)),
+                self._chunk_layers(batch, chunk)[0])]
+        elif cache:
+            hit, n_hit, arm, contig = cache
+            costs = self.session.costs
+            layer_tokens = batch * costs.preset.top_k
+            hit_tokens = round(layer_tokens * hit / self.HIT_RATE_BUCKETS)
+            dispatch = (None if arm is None else
+                        ExpertGemmDispatch(arm, contig / self.CONTIG_BUCKETS))
+            works = [
+                w if w.cpu_routed_us <= 0.0 else apply_expert_cache(
+                    w, costs.preset, self.machine, costs.dtype,
+                    total_tokens=layer_tokens, hit_tokens=hit_tokens,
+                    n_hit_experts=n_hit, dispatch=dispatch,
+                )
+                for w in self._decode_layers(batch, ctx)[0]
+            ]
+        else:       # cache not consulted, or idle: the plain decode graph
+            works = self._decode_layers(batch, ctx)[0]
+        self._works[shape] = works
+        return works
 
-    def hybrid_step_us(self, context_lens: list[int],
-                       chunk_tokens: int) -> float:
-        """Steady-state cost of one decode iteration carrying a chunk.
+    # -- pricing -------------------------------------------------------------
 
-        ``context_lens`` may be empty (chunk-only iteration: nothing is
-        decodable yet).  Bit-identical to
-        :func:`repro.sched.decode.hybrid_step_time_us` over the same
-        works; memoized on (batch size, context bucket, chunk bucket).
+    def _price(self, shape: StepShape,
+               pert: StepPerturbation = IDENTITY_PERTURBATION) -> float:
+        """Simulated steady-state cost of one shape (memoized).
+
+        Perturbations key on their ``price_key``; an identity one prices
+        with no duration hook at all, so a run with an empty fault plan is
+        bit-identical to one with no injector.
         """
-        hk, works = self._hybrid_key_works(context_lens, chunk_tokens)
-        if hk not in self._hybrid:
-            self._hybrid[hk] = batched_step_time_us(
-                works, self._hybrid_schedule_config(),
+        pk = None if pert.prices_identity else pert.price_key()
+        price = self._prices.get((shape, pk))
+        if price is None:
+            price = self._prices[shape, pk] = batched_step_time_us(
+                self._works_for(shape),
+                (self._hybrid_schedule_config() if shape.chunk
+                 else self._schedule_config()),
                 self.machine,
+                perturb=None if pk is None else pert.sim_hook(),
             )
-        return self._hybrid[hk]
+        return price
 
-    def hybrid_attn_window_us(self, context_lens: list[int],
-                              chunk_tokens: int) -> float:
-        """GPU attention time of a mixed iteration -- the prefetch window.
+    def decode_step_us(self, context_lens: "list[int] | StepShape",
+                       chunk_tokens: int = 0,
+                       cache_step: CacheStepResult | None = None,
+                       pert: StepPerturbation = IDENTITY_PERTURBATION
+                       ) -> float:
+        """Steady-state cost of one decode iteration.
 
-        The chunk's prefill-style attention extends the window behind
-        which expert-cache uploads can hide.
+        ``context_lens`` are the decode batch's context lengths (empty
+        for a chunk-only iteration).  ``chunk_tokens`` prices a
+        co-scheduled prefill chunk (0: none), ``cache_step`` reprices the
+        MoE layers under the expert cache's outcome and adds its
+        non-overlapped prefetch stall on top, and ``pert`` reruns the
+        task graph under a fault perturbation -- stragglers/NUMA
+        contention stretch CPU tasks and PCIe degradation stretches
+        transfers *inside* the overlap structure (a slower link may hide
+        behind attention rather than adding linearly).  An identity
+        perturbation prices exactly the unperturbed float.
+
+        ``context_lens`` may instead be a :class:`StepShape` from
+        :meth:`step_shape`, which already carries the chunk and cache
+        outcome: the engine builds each iteration's shape once and keys
+        its CUDA graph on it too.
         """
-        _, works = self._hybrid_key_works(context_lens, chunk_tokens)
+        shape = (context_lens if isinstance(context_lens, StepShape)
+                 else self.step_shape(context_lens, chunk_tokens, cache_step))
+        cost = self._price(shape, pert)
+        if cache_step is not None:
+            cost += cache_step.stall_us
+        return cost
+
+    def attn_window_us(self, context_lens: list[int],
+                       chunk_tokens: int = 0) -> float:
+        """GPU attention time of one iteration -- the prefetch window.
+
+        A chunk's prefill-style attention extends the window behind which
+        expert-cache uploads can hide.
+        """
+        works = self._works_for(self.step_shape(context_lens, chunk_tokens))
         return sum(w.gpu_attn_us for w in works)
 
-    def hybrid_dispatch_summary(self, context_lens: list[int],
-                                chunk_tokens: int) -> BatchedDispatchSummary:
-        """Combined (decode + chunk) ARI dispatch of a mixed iteration."""
-        bsz = len(context_lens)
-        self._chunk_layer_works(bsz, chunk_tokens)
-        return self._chunk_summaries[self._chunk_key(bsz, chunk_tokens)]
+    def dispatch_summary(self, context_lens: list[int],
+                         chunk_tokens: int = 0) -> BatchedDispatchSummary:
+        """The ARI dispatch decisions behind one iteration.
 
-    def cached_hybrid_step_us(self, context_lens: list[int],
-                              chunk_tokens: int,
-                              cache_step: CacheStepResult) -> float:
-        """Mixed-iteration cost under the expert cache's latest outcome.
-
-        The decode batch's layers are cache-repriced exactly as in
-        :meth:`cached_decode_step_us`; the chunk's marginal expert work
-        stays on the CPU (prefill streams every active expert from DRAM
-        regardless of GPU residency), so it rides on top unchanged.
+        With a chunk, the combined (decode + chunk) dispatch.
         """
-        if cache_step.total_tokens == 0:
-            return (self.hybrid_step_us(context_lens, chunk_tokens)
-                    + cache_step.stall_us)
-        ck, cached_works = self._cached_key_works(context_lens, cache_step)
-        chunk_works = self._chunk_layer_works(len(context_lens), chunk_tokens)
-        hk = (ck, self._chunk_key(len(context_lens), chunk_tokens)[1])
-        if hk not in self._cached_hybrid:
-            merged = [merge_hybrid_work(d, c)
-                      for d, c in zip(cached_works, chunk_works)]
-            self._cached_hybrid[hk] = cache_aware_step_time_us(
-                merged, self._hybrid_schedule_config(),
-                self.machine,
-            )
-        return self._cached_hybrid[hk] + cache_step.stall_us
+        batch, ctx, chunk, _ = self.step_shape(context_lens, chunk_tokens)
+        if chunk:
+            return self._chunk_layers(batch, chunk)[1]
+        return self._decode_layers(batch, ctx)[1]
 
-    def perturbed_hybrid_step_us(self, context_lens: list[int],
-                                 chunk_tokens: int,
-                                 pert: StepPerturbation) -> float:
-        """Mixed-iteration cost under an active fault perturbation.
-
-        Identity perturbations short-circuit to the clean memo (same
-        bit-identity guarantee as :meth:`perturbed_decode_step_us`).
-        """
-        if pert.prices_identity:
-            return self.hybrid_step_us(context_lens, chunk_tokens)
-        hk, works = self._hybrid_key_works(context_lens, chunk_tokens)
-        pk = (hk, pert.price_key())
-        if pk not in self._hybrid_pert:
-            self._hybrid_pert[pk] = batched_step_time_us(
-                works, self._hybrid_schedule_config(),
-                self.machine, perturb=pert.sim_hook(),
-            )
-        return self._hybrid_pert[pk]
-
-    def perturbed_cached_hybrid_step_us(self, context_lens: list[int],
-                                        chunk_tokens: int,
-                                        cache_step: CacheStepResult,
-                                        pert: StepPerturbation) -> float:
-        """Cache-aware mixed-iteration cost under a fault perturbation."""
-        if pert.prices_identity:
-            return self.cached_hybrid_step_us(context_lens, chunk_tokens,
-                                              cache_step)
-        if cache_step.total_tokens == 0:
-            return (self.perturbed_hybrid_step_us(context_lens, chunk_tokens,
-                                                  pert)
-                    + cache_step.stall_us)
-        ck, cached_works = self._cached_key_works(context_lens, cache_step)
-        chunk_works = self._chunk_layer_works(len(context_lens), chunk_tokens)
-        hk = (ck, self._chunk_key(len(context_lens), chunk_tokens)[1])
-        pk = (hk, pert.price_key())
-        if pk not in self._cached_hybrid_pert:
-            merged = [merge_hybrid_work(d, c)
-                      for d, c in zip(cached_works, chunk_works)]
-            self._cached_hybrid_pert[pk] = cache_aware_step_time_us(
-                merged, self._hybrid_schedule_config(),
-                self.machine, perturb=pert.sim_hook(),
-            )
-        return self._cached_hybrid_pert[pk] + cache_step.stall_us
-
-    def step_kernel_count(self, context_lens: list[int],
-                          chunk_tokens: int = 0,
-                          cache_step: CacheStepResult | None = None) -> int:
-        """Kernel count of one iteration's captured step.
+    def step_kernel_count(self, shape: StepShape) -> int:
+        """Kernel count of one shape's captured step.
 
         What a CUDA-graph capture walks: every layer's attention +
         shared/expert kernel groups (``n_gpu_kernels``, including any
         dispatch-added expert GEMM launches), one merge per MoE layer,
-        and the LM head.  Works are resolved through the same memoized
-        paths as pricing, so the count matches the priced task graph.
+        and the LM head -- counted over the shape's priced works.
         """
-        if not context_lens:
-            _, works = self._hybrid_key_works([], chunk_tokens)
-        elif cache_step is not None and cache_step.total_tokens > 0:
-            _, works = self._cached_key_works(context_lens, cache_step)
-        elif chunk_tokens:
-            _, works = self._hybrid_key_works(context_lens, chunk_tokens)
-        else:
-            self.decode_step_us(context_lens)
-            works = self._works[self._key(context_lens)]
+        works = self._works_for(shape)
         moe_layers = sum(1 for w in works if w.cpu_routed_us > 0)
         return sum(w.n_gpu_kernels for w in works) + moe_layers + 1
 
@@ -745,26 +566,17 @@ class BatchCostModel:
         """
         if self._pipeline is None:
             return 1.0, ()
-        cfg = self._schedule_config()
-        if not context_lens:
-            key, works = self._hybrid_key_works([], chunk_tokens)
-            full = self.hybrid_step_us([], chunk_tokens)
-            cfg = self._hybrid_schedule_config()
-        elif chunk_tokens:
-            key, works = self._hybrid_key_works(context_lens, chunk_tokens)
-            full = self.hybrid_step_us(context_lens, chunk_tokens)
-            cfg = self._hybrid_schedule_config()
-        else:
-            key = self._key(context_lens)
-            full = self.decode_step_us(context_lens)
-            works = self._works[key]
-        if key not in self._pipeline_factors:
-            staged = staged_interval_us(works, cfg,
-                                        self.machine,
+        shape = self.step_shape(context_lens, chunk_tokens)
+        if shape not in self._pipeline_factors:
+            works = self._works_for(shape)
+            cfg = (self._hybrid_schedule_config() if shape.chunk
+                   else self._schedule_config())
+            staged = staged_interval_us(works, cfg, self.machine,
                                         self._pipeline)
-            self._pipeline_factors[key] = (
-                staged / full, stage_boundary_bytes(works, self._pipeline))
-        return self._pipeline_factors[key]
+            self._pipeline_factors[shape] = (
+                staged / self._price(shape),
+                stage_boundary_bytes(works, self._pipeline))
+        return self._pipeline_factors[shape]
 
     def staged_decode_step_us(self, context_lens: list[int]) -> float:
         """Pipelined steady-state cost of one clean decode iteration.
@@ -924,7 +736,8 @@ class ContinuousBatchingServer:
 
     With ``BatchSchedulerConfig(prefill_chunk_tokens=...)`` prompts
     prefill in per-iteration chunks co-scheduled with the decode batch
-    (hybrid iterations priced via ``BatchCostModel.hybrid_step_us``);
+    (hybrid iterations priced via
+    ``BatchCostModel.decode_step_us(context_lens, chunk_tokens=...)``);
     partially-prefilled requests hold their full KV reservation but emit
     nothing until the last chunk lands, and the decode timeout sheds
     them like runaway decodes.
@@ -992,12 +805,7 @@ class ContinuousBatchingServer:
         self.session = session
         self.config = config or BatchSchedulerConfig()
         self.priorities = priorities
-        self.costs = BatchCostModel(
-            session,
-            ari_threshold=self.config.ari_threshold,
-            gemm_dispatch=self.config.gemm_dispatch,
-            pipeline_stages=self.config.pipeline_stages,
-            backend=self.config.backend)
+        self.costs = self._make_costs()
         # The pool tracks token occupancy only; K/V payloads stay tiny.
         self.pool = PagedKVPool(
             n_heads=1, head_dim=1,
@@ -1040,9 +848,6 @@ class ContinuousBatchingServer:
             # configs keep their summaries (and goldens) unchanged.
             self.graph_stats = GraphStats()
             self.stats.graphs = self.graph_stats
-        self._last_graph_capture_us = 0.0
-        self._last_cache_step: CacheStepResult | None = None
-        self._last_step_topology: tuple = ("plain",)
         self.pipeline_stats: PipelineStats | None = None
         if self.config.pipeline_stages > 1:
             # Attached only when the layer stack is actually sharded, so
@@ -1083,6 +888,15 @@ class ContinuousBatchingServer:
 
     # -- kernel backend ------------------------------------------------------
 
+    def _make_costs(self) -> BatchCostModel:
+        """The step cost model for the config's pricing knobs."""
+        return BatchCostModel(
+            self.session,
+            ari_threshold=self.config.ari_threshold,
+            gemm_dispatch=self.config.gemm_dispatch,
+            pipeline_stages=self.config.pipeline_stages,
+            backend=self.config.backend)
+
     def _make_graph_cache(self) -> GraphCache | None:
         """The capture cache under the active backend's launch constants.
 
@@ -1116,12 +930,7 @@ class ContinuousBatchingServer:
             raise ConfigError(
                 "rebind_backend requires a fresh server (no served work)")
         self.config = replace(self.config, backend=backend)
-        self.costs = BatchCostModel(
-            self.session,
-            ari_threshold=self.config.ari_threshold,
-            gemm_dispatch=self.config.gemm_dispatch,
-            pipeline_stages=self.config.pipeline_stages,
-            backend=backend)
+        self.costs = self._make_costs()
         self.graph_cache = self._make_graph_cache()
 
     # -- admission ----------------------------------------------------------
@@ -1572,9 +1381,10 @@ class ContinuousBatchingServer:
             # alongside.  Requests completing prefill via a chunk become
             # decodable next iteration; the monolithic pass above already
             # marked its requests decodable this iteration.
-            clock += self._decode_step_us(
+            step_us, capture_us = self._decode_step_us(
                 [a.context_len for a in decoding], clock,
                 chunk_tokens=chunk_tokens)
+            clock += step_us
             self._iteration += 1
             for a, share in assignments:
                 self.pool.append_placeholder(a.slot, share)
@@ -1603,7 +1413,7 @@ class ContinuousBatchingServer:
                 n_prefilling=sum(1 for a in active if not a.decodable),
                 chunk_tokens=chunk_tokens,
                 n_preempted=len(self._preempted),
-                graph_capture_us=self._last_graph_capture_us,
+                graph_capture_us=capture_us,
                 prefix_cached_tokens=(self.prefix_cache.gpu_tokens
                                       if self.prefix_cache is not None
                                       else 0),
@@ -1741,25 +1551,24 @@ class ContinuousBatchingServer:
         self._preempted = kept
 
     def _decode_step_us(self, context_lens: list[int], clock: float,
-                        chunk_tokens: int = 0) -> float:
-        """Price one iteration, adding graph-capture effects when enabled.
+                        chunk_tokens: int = 0) -> tuple[float, float]:
+        """Price one iteration; returns ``(cost, capture stall in it)``.
 
-        Without a graph cache this is exactly :meth:`_priced_step_us`.
-        With one, the decode batch first pads up to its capture bucket
-        (padding slots run real kernels, so the padded batch's full step
-        cost is charged -- priced honestly), the step is priced, and then
-        the graph for the step's shape key is looked up: a cold key pays
-        a capture stall on top of the step cost (visible in TTFT/TPOT),
-        a warm key replays for free.  Fault perturbations stretch task
-        *durations*, not the kernel topology, so they deliberately do not
-        enter the graph key -- a perturbed step replays the same graph.
+        Without a graph cache this is exactly :meth:`_priced_step_us`
+        (pipelined) with no capture.  With one, the decode batch first
+        pads up to its capture bucket (padding slots run real kernels, so
+        the padded batch's full step cost is charged -- priced honestly),
+        the step is priced, and then the graph for the step's
+        :class:`StepShape` is looked up: a cold shape pays a capture stall
+        on top of the step cost (visible in TTFT/TPOT), a warm one
+        replays for free.  Fault perturbations stretch task *durations*,
+        not the kernel topology, so they are not part of the shape -- a
+        perturbed step replays the same graph.
         """
-        self._last_graph_capture_us = 0.0
-        self._last_cache_step = None
         if self.graph_cache is None:
-            return self._apply_pipeline(
-                self._priced_step_us(context_lens, clock, chunk_tokens),
-                context_lens, chunk_tokens, clock)
+            cost, _ = self._priced_step_us(context_lens, clock, chunk_tokens)
+            return (self._apply_pipeline(cost, context_lens, chunk_tokens,
+                                         clock), 0.0)
         padded = list(context_lens)
         if padded:
             bucket = self.graph_cache.config.batch_bucket(len(padded))
@@ -1767,20 +1576,16 @@ class ContinuousBatchingServer:
             if pad:
                 padded.extend([max(padded)] * pad)
                 self.graph_stats.padding_tokens += pad
-        cost = self._apply_pipeline(
-            self._priced_step_us(padded, clock, chunk_tokens),
-            padded, chunk_tokens, clock)
-        key = self._graph_key(padded, chunk_tokens)
-        n_kernels = self.costs.step_kernel_count(
-            padded, chunk_tokens, self._last_cache_step)
-        look = self.graph_cache.lookup(key, n_kernels)
+        cost, shape = self._priced_step_us(padded, clock, chunk_tokens)
+        cost = self._apply_pipeline(cost, padded, chunk_tokens, clock)
+        look = self.graph_cache.lookup(
+            shape, self.costs.step_kernel_count(shape))
         self.graph_stats.captures = self.graph_cache.captures
         self.graph_stats.replays = self.graph_cache.replays
         self.graph_stats.evictions = self.graph_cache.evictions
         if look.captured:
             self.graph_stats.capture_stall_us += look.capture_us
-            self._last_graph_capture_us = look.capture_us
-        return cost + look.capture_us
+        return cost + look.capture_us, look.capture_us
 
     def _apply_pipeline(self, cost: float, context_lens: list[int],
                         chunk_tokens: int, clock: float) -> float:
@@ -1811,40 +1616,18 @@ class ContinuousBatchingServer:
         ps.interstage_transfer_us += xfer
         return staged
 
-    def _graph_key(self, context_lens: list[int],
-                   chunk_tokens: int) -> tuple:
-        """Shape key of one captured step.
-
-        ``(batch bucket, context bucket, chunk bucket, topology)`` --
-        ``context_lens`` arrives already padded, so its length *is* the
-        batch bucket.  The topology token (set by :meth:`_priced_step_us`)
-        distinguishes kernel sequences the shape alone cannot: plain vs
-        chunk-only vs cache-bypass vs each quantized cache outcome and
-        dispatch arm.
-        """
-        if context_lens:
-            batch_bucket = len(context_lens)
-            ctx_bucket = BatchCostModel._bucket(max(context_lens),
-                                               BatchCostModel.CTX_BUCKETS)
-        else:
-            batch_bucket = ctx_bucket = 0
-        chunk_bucket = (BatchCostModel._bucket(chunk_tokens,
-                                               BatchCostModel.CHUNK_BUCKETS)
-                        if chunk_tokens else 0)
-        return (batch_bucket, ctx_bucket, chunk_bucket,
-                self._last_step_topology)
-
     def _priced_step_us(self, context_lens: list[int], clock: float,
-                        chunk_tokens: int = 0) -> float:
+                        chunk_tokens: int = 0) -> tuple[float, StepShape]:
         """Price one iteration, consulting the expert cache if any.
 
-        ``chunk_tokens > 0`` marks a hybrid iteration: the decode batch's
-        pricing flows exactly as below but through the ``hybrid_*``
-        variants, which add the chunk's marginal expert work on top.  An
-        empty ``context_lens`` (chunk-only iteration: nothing decodable
-        yet) skips every cache interaction -- prefill streams each active
-        expert from DRAM regardless of GPU residency, so the cache
-        neither observes routing nor uploads -- and records a
+        Returns the cost and the iteration's :class:`StepShape` -- the
+        graph-cache key and kernel count derive from it.
+        ``chunk_tokens > 0`` marks a hybrid iteration: the chunk's
+        marginal expert work rides on top of the decode batch's pricing
+        below.  An empty ``context_lens`` (chunk-only iteration: nothing
+        decodable yet) skips every cache interaction -- prefill streams
+        each active expert from DRAM regardless of GPU residency, so the
+        cache neither observes routing nor uploads -- and records a
         zero-activity cache point to keep the timelines aligned.
 
         With a cache attached, the iteration's per-expert token counts
@@ -1861,41 +1644,33 @@ class ContinuousBatchingServer:
         docstring), and the iteration cost picks up this step's clock
         jitter last, outside the memoized pricing.
         """
+        costs = self.costs
         pert = (self.fault_injector.perturbation_at(clock, self._iteration)
                 if self.fault_injector is not None else IDENTITY_PERTURBATION)
-        if not context_lens:
-            self._last_step_topology = ("chunk-only",)
-            cost = (self.costs.perturbed_hybrid_step_us([], chunk_tokens,
-                                                        pert)
-                    * pert.jitter_scale)
-            if self.cache_timeline is not None:
-                self.cache_timeline.record(
-                    clock + cost, hit_tokens=0, miss_tokens=0, uploads=0,
-                    evictions=0, bytes_transferred=0.0, stall_us=0.0,
-                )
-            return cost
-        if self.expert_cache is None:
-            self._last_step_topology = ("plain",)
-            if chunk_tokens:
-                return (self.costs.perturbed_hybrid_step_us(
-                            context_lens, chunk_tokens, pert)
-                        * pert.jitter_scale)
-            return (self.costs.perturbed_decode_step_us(context_lens, pert)
-                    * pert.jitter_scale)
+        if not context_lens or self.expert_cache is None:
+            shape = costs.step_shape(context_lens, chunk_tokens)
+            cost = costs.decode_step_us(shape, pert=pert) * pert.jitter_scale
+            if not context_lens and self.cache_timeline is not None:
+                self._record_idle_cache(clock + cost)
+            return cost, shape
         if self._degradation is not None and self._degradation.bypassing:
-            self._last_step_topology = ("bypass",)
-            return self._degraded_step_us(context_lens, clock, pert,
-                                          chunk_tokens)
+            # Graceful degradation under a persistently failing cache:
+            # all routed experts priced on the CPU, no residency update
+            # and no uploads attempted (so no upload faults).
+            self._degradation.tick_bypass()
+            self.fault_stats.degraded_iterations += 1
+            shape = costs.step_shape(context_lens, chunk_tokens)
+            cost = costs.decode_step_us(shape, pert=pert) * pert.jitter_scale
+            self._record_idle_cache(clock + cost)
+            return cost, shape
 
         if self._routing_stream is not None:
             counts = np.asarray(
                 self._routing_stream(self._iteration, len(context_lens)))
         else:
             counts = np.asarray(
-                self.costs.dispatch_summary(context_lens).expert_token_counts)
-        window = (self.costs.hybrid_attn_window_us(context_lens, chunk_tokens)
-                  if chunk_tokens
-                  else self.costs.attn_window_us(context_lens))
+                costs.dispatch_summary(context_lens).expert_token_counts)
+        window = costs.attn_window_us(context_lens, chunk_tokens)
         link = pert.degrade_link(self.expert_cache.interconnect)
         result = self.expert_cache.step(counts, overlap_window_us=window,
                                         link=link)
@@ -1924,29 +1699,18 @@ class ContinuousBatchingServer:
                         1, key=(self._iteration, layer, expert))
                     self._retries.append(RetryState(layer, expert, 1, due))
 
-        self._last_cache_step = result
-        if result.total_tokens:
-            ck, _ = self.costs._cached_key_works(context_lens, result)
-            self._last_step_topology = ("cached", *ck)
-            if self.graph_stats is not None:
-                dispatch = self.costs.gemm_dispatch_for(context_lens, result)
-                if dispatch is not None:
-                    if dispatch.mode == "grouped":
-                        self.graph_stats.grouped_gemm_iterations += 1
-                        self.graph_stats.grouped_gemm_launches_saved += (
-                            max(0, result.n_hit_experts - 1)
-                            * self.session.costs.preset.n_moe_layers)
-                    else:
-                        self.graph_stats.per_expert_iterations += 1
-        else:
-            self._last_step_topology = ("cached-idle",)
+        shape = costs.step_shape(context_lens, chunk_tokens, result)
+        arm = shape.cache[2] if shape.cache else None
+        if self.graph_stats is not None and arm is not None:
+            if arm == "grouped":
+                self.graph_stats.grouped_gemm_iterations += 1
+                self.graph_stats.grouped_gemm_launches_saved += (
+                    max(0, result.n_hit_experts - 1)
+                    * self.session.costs.preset.n_moe_layers)
+            else:
+                self.graph_stats.per_expert_iterations += 1
 
-        if chunk_tokens:
-            cost = self.costs.perturbed_cached_hybrid_step_us(
-                context_lens, chunk_tokens, result, pert)
-        else:
-            cost = self.costs.perturbed_cached_step_us(context_lens, result,
-                                                       pert)
+        cost = costs.decode_step_us(shape, pert=pert) + result.stall_us
         cost += extra_stall
         if extra_stall:
             self.fault_stats.fault_stall_us += extra_stall
@@ -1965,31 +1729,14 @@ class ContinuousBatchingServer:
                 # cache is bypassed, so completing them buys nothing.
                 self.fault_stats.retries_abandoned += len(self._retries)
                 self._retries.clear()
-        return cost
+        return cost, shape
 
-    def _degraded_step_us(self, context_lens: list[int], clock: float,
-                          pert: StepPerturbation,
-                          chunk_tokens: int = 0) -> float:
-        """One cache-bypassed iteration: all routed experts priced on CPU.
-
-        Graceful degradation under a persistently failing cache: no
-        residency update, no uploads attempted (so no upload faults), the
-        plain CPU-expert pricing applies (hybrid-priced when a chunk is
-        co-scheduled).  Ticks the degradation cooldown and records a
-        zero-activity cache timeline point.
-        """
-        self._degradation.tick_bypass()
-        self.fault_stats.degraded_iterations += 1
-        base = (self.costs.perturbed_hybrid_step_us(context_lens,
-                                                    chunk_tokens, pert)
-                if chunk_tokens
-                else self.costs.perturbed_decode_step_us(context_lens, pert))
-        cost = base * pert.jitter_scale
+    def _record_idle_cache(self, t_us: float) -> None:
+        """A zero-activity expert-cache timeline point (cache unused)."""
         self.cache_timeline.record(
-            clock + cost, hit_tokens=0, miss_tokens=0, uploads=0,
+            t_us, hit_tokens=0, miss_tokens=0, uploads=0,
             evictions=0, bytes_transferred=0.0, stall_us=0.0,
         )
-        return cost
 
     def _process_retries(self, clock: float, window_us: float,
                          link: InterconnectSpec) -> tuple[float, bool]:

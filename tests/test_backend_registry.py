@@ -313,9 +313,9 @@ def test_any_backend_deterministic_positive_steps(name, batch, ctx):
     step = a.decode_step_us([ctx] * batch)
     assert step > 0.0
     assert step == b.decode_step_us([ctx] * batch)
-    hybrid = a.hybrid_step_us([ctx] * batch, 32)
+    hybrid = a.decode_step_us([ctx] * batch, chunk_tokens=32)
     assert hybrid > step
-    assert hybrid == b.hybrid_step_us([ctx] * batch, 32)
+    assert hybrid == b.decode_step_us([ctx] * batch, chunk_tokens=32)
 
 
 @settings(max_examples=15, deadline=None)

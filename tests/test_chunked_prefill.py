@@ -168,10 +168,10 @@ class TestBatchCostModelHybrid:
     """Memoized hybrid pricing on the serving cost model."""
 
     def test_matches_sched_level_function(self, session):
-        """BatchCostModel.hybrid_step_us is bit-identical to pricing the
-        merged works through sched.decode.hybrid_step_time_us."""
+        """BatchCostModel.decode_step_us with a chunk is bit-identical to
+        pricing the merged works through sched.decode.hybrid_step_time_us."""
         costs = BatchCostModel(session)
-        got = costs.hybrid_step_us([64] * 8, 32)
+        got = costs.decode_step_us([64] * 8, chunk_tokens=32)
         c = session.costs
         decode_works, _ = batched_decode_works(
             c.system, c.preset, c.machine, c.dtype, context_lens=[64] * 8)
@@ -185,34 +185,34 @@ class TestBatchCostModelHybrid:
 
     def test_memoized_by_buckets(self, session):
         costs = BatchCostModel(session)
-        a = costs.hybrid_step_us([64] * 4, 17)
-        b = costs.hybrid_step_us([60] * 4, 30)   # same ctx + chunk bucket
+        a = costs.decode_step_us([64] * 4, chunk_tokens=17)
+        b = costs.decode_step_us([60] * 4, chunk_tokens=30)   # same buckets
         assert a == b
-        assert len(costs._hybrid) == 1
-        costs.hybrid_step_us([64] * 4, 33)       # next chunk bucket
-        assert len(costs._hybrid) == 2
+        assert len(costs._prices) == 1
+        costs.decode_step_us([64] * 4, chunk_tokens=33)   # next chunk bucket
+        assert len(costs._prices) == 2
 
     def test_chunk_only_supported(self, session):
         costs = BatchCostModel(session)
-        alone = costs.hybrid_step_us([], 64)
+        alone = costs.decode_step_us([], chunk_tokens=64)
         assert alone > 0
-        hybrid = costs.hybrid_step_us([64] * 8, 64)
+        hybrid = costs.decode_step_us([64] * 8, chunk_tokens=64)
         decode = costs.decode_step_us([64] * 8)
         assert hybrid > decode
 
     def test_chunk_tokens_must_be_positive(self, session):
         costs = BatchCostModel(session)
         with pytest.raises(ConfigError):
-            costs.hybrid_step_us([64], 0)
+            costs.decode_step_us([64], chunk_tokens=-1)
 
     def test_hybrid_window_extends_decode_window(self, session):
         costs = BatchCostModel(session)
-        assert (costs.hybrid_attn_window_us([64] * 4, 128)
+        assert (costs.attn_window_us([64] * 4, chunk_tokens=128)
                 > costs.attn_window_us([64] * 4))
 
     def test_hybrid_dispatch_summary_combines(self, session):
         costs = BatchCostModel(session)
-        s = costs.hybrid_dispatch_summary([64] * 8, 32)
+        s = costs.dispatch_summary([64] * 8, chunk_tokens=32)
         preset = session.costs.preset
         assert sum(s.expert_token_counts) == (8 + 32) * preset.top_k
 
@@ -410,6 +410,6 @@ class TestChunkedWithCacheAndFaults:
         cached/perturbed variants to the plain hybrid price."""
         from repro.faults.injector import IDENTITY_PERTURBATION
         costs = BatchCostModel(session)
-        plain = costs.hybrid_step_us([64] * 4, 16)
-        assert costs.perturbed_hybrid_step_us([64] * 4, 16,
-                                              IDENTITY_PERTURBATION) == plain
+        plain = costs.decode_step_us([64] * 4, chunk_tokens=16)
+        assert costs.decode_step_us([64] * 4, chunk_tokens=16,
+                                    pert=IDENTITY_PERTURBATION) == plain

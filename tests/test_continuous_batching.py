@@ -103,7 +103,7 @@ class TestBatchCostModel:
         costs = BatchCostModel(session)
         first = costs.decode_step_us([64] * 4)
         assert costs.decode_step_us([60, 61, 62, 63]) == first  # same bucket
-        assert len(costs._step) == 1
+        assert len(costs._prices) == 1
 
     def test_dispatch_summary_exposed(self, session):
         costs = BatchCostModel(session)

@@ -23,6 +23,7 @@ from repro.serving import (
     BatchSchedulerConfig,
     ContinuousBatchingServer,
     InferenceSession,
+    StepShape,
     poisson_workload,
     serving_expert_cache,
 )
@@ -223,7 +224,8 @@ class TestCacheAwarePricing:
     def test_apply_expert_cache_scales_with_hits(self, session):
         costs = BatchCostModel(session)
         costs.decode_step_us([64] * 8)
-        work = next(w for w in costs._works[(8, 64)] if w.cpu_routed_us > 0)
+        work = next(w for w in costs._works[StepShape(8, 64)]
+                    if w.cpu_routed_us > 0)
         tokens = 8 * DS3.top_k
         half = apply_expert_cache(work, DS3, MACHINE, BF16, tokens,
                                   hit_tokens=tokens // 2, n_hit_experts=8)
@@ -250,7 +252,7 @@ class TestCacheAwarePricing:
                 step=0, hit_tokens=hits, miss_tokens=64 - hits,
                 n_hit_experts=n_exp, uploads=(), evictions=(),
                 bytes_transferred=0.0, transfer_us=0.0, stall_us=0.0)
-            return costs.cached_decode_step_us([64] * 8, res)
+            return costs.decode_step_us([64] * 8, cache_step=res)
 
         cold, warm, hot = step(0, 0), step(32, 8), step(61, 16)
         assert cold == pytest.approx(costs.decode_step_us([64] * 8), rel=0.01)
@@ -264,12 +266,12 @@ class TestCacheAwarePricing:
                               n_hit_experts=8, uploads=(), evictions=(),
                               bytes_transferred=0.0, transfer_us=0.0,
                               stall_us=123.0)
-        base = costs.cached_decode_step_us(
-            [64] * 8, CacheStepResult(step=0, hit_tokens=32, miss_tokens=32,
-                                      n_hit_experts=8, uploads=(),
-                                      evictions=(), bytes_transferred=0.0,
-                                      transfer_us=0.0, stall_us=0.0))
-        assert costs.cached_decode_step_us([64] * 8, res) == pytest.approx(
+        base = costs.decode_step_us(
+            [64] * 8, cache_step=CacheStepResult(
+                step=0, hit_tokens=32, miss_tokens=32, n_hit_experts=8,
+                uploads=(), evictions=(), bytes_transferred=0.0,
+                transfer_us=0.0, stall_us=0.0))
+        assert costs.decode_step_us([64] * 8, cache_step=res) == pytest.approx(
             base + 123.0)
 
     def test_cache_aware_step_time_validates_stall(self, session):
@@ -277,7 +279,7 @@ class TestCacheAwarePricing:
 
         costs = BatchCostModel(session)
         costs.decode_step_us([64])
-        works = costs._works[(1, 64)]
+        works = costs._works[StepShape(1, 64)]
         with pytest.raises(SchedulingError):
             cache_aware_step_time_us(works, costs._schedule_config(),
                                      MACHINE, transfer_stall_us=-1.0)

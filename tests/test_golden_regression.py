@@ -124,14 +124,14 @@ GOLDEN_HYBRID_STEP_US = {
 @pytest.mark.parametrize("batch,ctx,chunk", sorted(GOLDEN_HYBRID_STEP_US))
 def test_golden_hybrid_step(batch_costs, batch, ctx, chunk):
     expected = GOLDEN_HYBRID_STEP_US[(batch, ctx, chunk)]
-    assert batch_costs.hybrid_step_us([ctx] * batch, chunk) == pytest.approx(
-        expected, rel=TOL)
+    assert batch_costs.decode_step_us(
+        [ctx] * batch, chunk_tokens=chunk) == pytest.approx(expected, rel=TOL)
     # A hybrid step must cost strictly more than the pure decode step it
     # extends, and strictly less than decode + a standalone chunk pass.
     if batch:
         decode = batch_costs.decode_step_us([ctx] * batch)
-        alone = batch_costs.hybrid_step_us([], chunk)
-        hybrid = batch_costs.hybrid_step_us([ctx] * batch, chunk)
+        alone = batch_costs.decode_step_us([], chunk_tokens=chunk)
+        hybrid = batch_costs.decode_step_us([ctx] * batch, chunk_tokens=chunk)
         assert decode < hybrid < decode + alone
 
 
@@ -191,10 +191,10 @@ def test_golden_perturbed_decode_step(batch_costs):
     """Mid-storm perturbation reprices the (8, 64) decode step ~1.44x."""
     from repro.faults import StepPerturbation
     pert = StepPerturbation(cpu_scale=1.3, pcie_scale=0.02, numa_scale=1.2)
-    assert batch_costs.perturbed_decode_step_us([64] * 8, pert) == \
+    assert batch_costs.decode_step_us([64] * 8, pert=pert) == \
         pytest.approx(1_153_919.0, rel=TOL)
     # Identity perturbation must be the *same float*, not merely close.
-    assert (batch_costs.perturbed_decode_step_us([64] * 8, StepPerturbation())
+    assert (batch_costs.decode_step_us([64] * 8, pert=StepPerturbation())
             == batch_costs.decode_step_us([64] * 8))
 
 
@@ -581,8 +581,8 @@ def test_golden_backend_cost_model_bit_identity(batch_costs):
         assert explicit.decode_step_us([ctx] * batch) == \
             batch_costs.decode_step_us([ctx] * batch)
     for (batch, ctx, chunk) in GOLDEN_HYBRID_STEP_US:
-        assert explicit.hybrid_step_us([ctx] * batch, chunk) == \
-            batch_costs.hybrid_step_us([ctx] * batch, chunk)
+        assert explicit.decode_step_us([ctx] * batch, chunk_tokens=chunk) == \
+            batch_costs.decode_step_us([ctx] * batch, chunk_tokens=chunk)
     for tokens in GOLDEN_BATCHED_PREFILL_US:
         assert explicit.batched_prefill_us(tokens) == \
             batch_costs.batched_prefill_us(tokens)
@@ -601,3 +601,67 @@ def test_golden_backend_engine_bit_identity():
         pb = run_prefill(KTRANSFORMERS, preset, MACHINE, BF16,
                          prompt_len=512, backend="kt-amx-avx512")
         assert pb.elapsed_us == pa.elapsed_us
+
+
+# --- All-features replay golden ---------------------------------------------
+# Every pricing input in one small replay: expert cache under the
+# canonical fault storm with a resilience policy (cached, cache-idle and
+# cache-bypass steps), chunked prefill (chunk-carrying and chunk-only
+# steps), and a CUDA-graph cache with auto GEMM dispatch (both arms).
+# Graph captures count distinct step shapes, so these counters pin how
+# the pricer partitions steps -- bypass included.  Values recorded
+# before the step-pricing grid collapsed into one shape-keyed pricer;
+# times are pinned to float precision, not the calibration tolerance.
+
+GOLDEN_ALL_FEATURES = {
+    "graph_captures": 23.0,
+    "graph_replays": 35.0,
+    "graph_evictions": 7.0,
+    "graph_padding_tokens": 7.0,
+    "grouped_gemm_iterations": 27.0,
+    "grouped_gemm_launches_saved": 5040.0,
+    "grouped_gemm_per_expert_iterations": 7.0,
+    "fault_degraded_iterations": 17.0,
+    "fault_upload_failures": 19.0,
+    "requests": 12.0,
+}
+
+GOLDEN_ALL_FEATURES_MS = {
+    "graph_capture_stall_ms": 163.315,
+    "ttft_p50_ms": 2620.078676207254,
+    "ttft_p95_ms": 7955.725545486737,
+    "tpot_p50_ms": 252.52325302132365,
+    "tpot_p95_ms": 493.42269567841413,
+}
+
+
+def test_golden_all_features_replay():
+    from repro.faults import FaultInjector, canonical_chaos_plan
+    from repro.sched.cuda_graph import GraphCacheConfig
+    from repro.serving import (
+        BatchSchedulerConfig, ContinuousBatchingServer, ResilienceConfig,
+        poisson_workload, serving_expert_cache,
+    )
+    session = InferenceSession(MoETransformer(tiny_config("tiny-qw")), QW2)
+    server = ContinuousBatchingServer(
+        session,
+        BatchSchedulerConfig(kv_budget_tokens=512, max_batch_size=4,
+                             prefill_chunk_tokens=16,
+                             graph_cache=GraphCacheConfig(),
+                             gemm_dispatch="auto"),
+        expert_cache=serving_expert_cache(
+            session, vram_budget_bytes=12 * QW2.expert_bytes(BF16)),
+        fault_injector=FaultInjector(canonical_chaos_plan()),
+        resilience=ResilienceConfig(queue_timeout_us=8e6,
+                                    decode_timeout_us=30e6))
+    s = server.replay(poisson_workload(
+        n_requests=12, mean_interarrival_us=1e6, prompt_len=48,
+        max_new_tokens=8, vocab_size=64, seed=11)).summary()
+    for key, expected in GOLDEN_ALL_FEATURES.items():
+        assert s[key] == expected, key
+    for key, expected in GOLDEN_ALL_FEATURES_MS.items():
+        assert s[key] == pytest.approx(expected, rel=1e-9), key
+    # The timeline's per-iteration capture stalls add up to the total.
+    assert sum(p.graph_capture_us for p in server.timeline.points) == \
+        pytest.approx(1e3 * GOLDEN_ALL_FEATURES_MS["graph_capture_stall_ms"],
+                      rel=1e-9)
