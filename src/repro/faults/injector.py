@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ConfigError
-from ..hw.event_sim import Task
+from ..hw.event_sim import DurationScaling
 from ..hw.roofline import degraded_link
 from ..hw.spec import InterconnectSpec
 from .plan import FaultPlan
@@ -110,26 +110,6 @@ class StepPerturbation:
         """
         return degraded_link(link, pcie_scale=self.pcie_scale,
                              cross_socket_scale=1.0 / self.numa_scale)
-
-
-@dataclass(frozen=True)
-class DurationScaling:
-    """Simulator duration hook scaling tasks by resource-name prefix.
-
-    ``cpu*`` task durations are multiplied by ``cpu_mult``, ``pcie*``
-    ones by ``pcie_mult``; every other resource keeps its duration.
-    """
-
-    cpu_mult: float
-    pcie_mult: float
-
-    def __call__(self, task: Task, now: float) -> float:
-        name = task.resource.name
-        if name.startswith("cpu"):
-            return task.duration * self.cpu_mult
-        if name.startswith("pcie"):
-            return task.duration * self.pcie_mult
-        return task.duration
 
 
 IDENTITY_PERTURBATION = StepPerturbation()

@@ -25,7 +25,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from ..errors import SimulationError
 
@@ -50,9 +50,8 @@ class Task:
     """
 
     __slots__ = (
-        "name", "resource", "duration", "priority", "meta",
-        "state", "start_time", "end_time",
-        "_remaining_deps", "_dependents", "_on_complete",
+        "name", "resource", "duration", "priority", "state", "start_time",
+        "end_time", "_remaining_deps", "_dependents", "_on_complete",
     )
 
     def __init__(
@@ -61,7 +60,6 @@ class Task:
         resource: "Resource",
         duration: float,
         priority: int = 0,
-        meta: Optional[dict] = None,
     ) -> None:
         if duration < 0:
             raise SimulationError(f"task {name!r} has negative duration {duration}")
@@ -69,7 +67,6 @@ class Task:
         self.resource = resource
         self.duration = float(duration)
         self.priority = priority
-        self.meta = meta or {}
         self.state = _PENDING
         self.start_time: Optional[float] = None
         self.end_time: Optional[float] = None
@@ -123,8 +120,8 @@ class Resource:
         self._in_flight += 1
         task.state = _RUNNING
         task.start_time = now = sim.now
-        duration = (task.duration if sim.perturb is None
-                     else sim._effective_duration(task))
+        duration = (task.duration if sim.perturb is None else _checked(
+            float(sim.perturb(task, now)), task.name))
         sim._post(now + duration, self._finish, task)
 
     def _finish(self, task: Task) -> None:
@@ -172,16 +169,6 @@ class Simulator:
         self._seq = itertools.count()
         self.all_tasks: list[Task] = []
         self._resources: dict[str, Resource] = {}
-
-    def _effective_duration(self, task: Task) -> float:
-        """The duration a task occupies its resource, under ``perturb``."""
-        duration = float(self.perturb(task, self.now))
-        if not math.isfinite(duration) or duration < 0:
-            raise SimulationError(
-                f"perturb hook returned invalid duration {duration!r} "
-                f"for task {task.name!r}"
-            )
-        return duration
 
     # -- resources ----------------------------------------------------------
 
@@ -231,14 +218,13 @@ class Simulator:
         duration: float,
         deps: Iterable[Task] = (),
         priority: int = 0,
-        meta: Optional[dict] = None,
     ) -> Task:
         """Create a task and wire its dependencies.
 
         The task queues on its resource as soon as all ``deps`` are done
         (immediately if they already are, or if there are none).
         """
-        task = Task(name, resource, duration, priority, meta)
+        task = Task(name, resource, duration, priority)
         self.all_tasks.append(task)
         for dep in deps:
             if dep.state is not _DONE:
@@ -269,12 +255,15 @@ class Simulator:
         pause/resume (fault windows land on exact boundaries, so this
         edge is defined and tested rather than heap-order dependent).
 
-        Returns the final simulated time.
+        Returns the final simulated time.  An ``until`` before the
+        current time raises :class:`SimulationError`: that instant has
+        already been simulated.
         """
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"cannot run until the past ({until} < now={self.now})"
+            )
         events, ready, pop = self._events, self._ready, heapq.heappop
-        if until is not None and until < self.now and (events or ready):
-            self.now = until     # everything left is due after ``until``
-            return self.now
         now = self.now
         while True:
             if events and events[0][0] == now:
@@ -312,6 +301,16 @@ def _enqueue_if_pending(task: Task) -> None:
         task.resource._enqueue(task)
 
 
+def _checked(duration: float, name: str) -> float:
+    """A ``perturb`` hook's duration, rejected unless finite and >= 0."""
+    if not math.isfinite(duration) or duration < 0:
+        raise SimulationError(
+            f"perturb hook returned invalid duration {duration!r} "
+            f"for task {name!r}"
+        )
+    return duration
+
+
 @dataclass
 class Barrier:
     """Convenience: a zero-duration task used to join many predecessors."""
@@ -322,3 +321,149 @@ class Barrier:
     def join(cls, sim: Simulator, name: str, resource: Resource,
              deps: Iterable[Task]) -> "Barrier":
         return cls(sim.submit(name, resource, 0.0, deps=deps))
+
+
+@dataclass(frozen=True)
+class DurationScaling:
+    """Duration hook scaling ``cpu*`` tasks by ``cpu_mult``, ``pcie*`` ones
+    by ``pcie_mult``.  It ignores ``now``, so retimes apply it up front."""
+
+    cpu_mult: float
+    pcie_mult: float
+
+    def multiplier(self, resource: str) -> float:
+        """The factor tasks on the resource named ``resource`` scale by."""
+        if resource.startswith("cpu"):
+            return self.cpu_mult
+        return self.pcie_mult if resource.startswith("pcie") else 1.0
+
+    def __call__(self, task: Task, now: float) -> float:
+        return task.duration * self.multiplier(task.resource.name)
+
+
+class GraphRecorder:
+    """Stands in for a :class:`Simulator` in task-graph builders, recording
+    int resource/task ids and each task's duration; :meth:`compile` freezes
+    the topology.  Only what :meth:`CompiledGraph.retime` reproduces exactly
+    is accepted: capacity-1 resources and priority-0 (FIFO) tasks."""
+
+    def __init__(self) -> None:
+        self.resources: dict[str, int] = {}
+        self.names: list[str] = []
+        self.res: list[int] = []
+        self.durations: list[float] = []
+        self.dependents: list[list[int]] = []
+        self.n_deps: list[int] = []
+
+    def resource(self, name: str, capacity: int = 1) -> int:
+        if capacity != 1:
+            raise SimulationError(f"{name!r}: only capacity-1 compiles")
+        return self.resources.setdefault(name, len(self.resources))
+
+    def submit(self, name: str, resource: int, duration: float,
+               deps: Iterable[int] = (), priority: int = 0) -> int:
+        if duration < 0:
+            raise SimulationError(f"{name!r}: negative duration {duration}")
+        if priority != 0:
+            raise SimulationError(f"{name!r}: only priority 0 compiles")
+        task, deps = len(self.res), tuple(deps)
+        for dep in deps:
+            self.dependents[dep].append(task)
+        self.names.append(name)
+        self.res.append(resource)
+        self.durations.append(float(duration))
+        self.dependents.append([])
+        self.n_deps.append(len(deps))
+        return task
+
+    def compile(self) -> "CompiledGraph":
+        return CompiledGraph(
+            tuple(self.resources), tuple(self.names), tuple(self.res),
+            tuple(map(tuple, self.dependents)), tuple(self.n_deps),
+            tuple(t for t, n in enumerate(self.n_deps) if not n))
+
+
+@dataclass(frozen=True)
+class CompiledGraph:
+    """A task-graph topology: task ``t`` runs on resource ``res[t]`` (named
+    ``resources[res[t]]``), waits for ``n_deps[t]`` tasks and releases
+    ``dependents[t]``; ``roots`` are the tasks without dependencies."""
+
+    resources: tuple[str, ...]
+    names: tuple[str, ...]
+    res: tuple[int, ...]
+    dependents: tuple[tuple[int, ...], ...]
+    n_deps: tuple[int, ...]
+    roots: tuple[int, ...]
+
+    def retime(self, durations: Sequence[float],
+               perturb: Optional[Callable[[Task, float], float]] = None,
+               ) -> tuple[list[float], float]:
+        """Each task's end time and the final time, task ``t`` lasting
+        ``durations[t]``: what :meth:`Simulator.drain` gives, events firing
+        in the same order with the same float operations and ``perturb``
+        honoured (a plain hook is called with a :class:`Task` at its start).
+        """
+        res, dependents = self.res, self.dependents
+        if len(durations) != len(res):
+            raise SimulationError(
+                f"{len(durations)} durations for {len(res)} tasks")
+        hook = None
+        if type(perturb) is DurationScaling:     # exactly: it ignores now
+            mult = [perturb.multiplier(name) for name in self.resources]
+            durations = [_checked(d * mult[r], name) for d, r, name
+                         in zip(durations, res, self.names)]
+        elif perturb is not None:
+            sim = Simulator()
+            objs = [sim.resource(name) for name in self.resources]
+
+            def hook(t: int, now: float) -> float:
+                task = Task(self.names[t], objs[res[t]], durations[t])
+                return _checked(float(perturb(task, now)), task.name)
+
+        ends = [0.0] * len(res)
+        remaining = list(self.n_deps)
+        queues: list[deque[int]] = [deque() for __ in self.resources]
+        busy = [False] * len(self.resources)
+        # Zero-delay FIFO: task t ends now, ~r dispatches resource r.  None
+        # is queued for a busy r: r's next end fires after it, so a no-op.
+        ready: deque[int] = deque(~res[t] for t in self.roots)
+        for t in self.roots:
+            queues[res[t]].append(t)
+        events: list[tuple[float, int, int]] = []   # (end, seq, task)
+        push, pop = heapq.heappush, heapq.heappop
+        now, seq = 0.0, 0
+        while True:
+            if ready:
+                t = ready.popleft()
+            elif events:     # advance; every end due now precedes the FIFO
+                now, __, t = pop(events)
+                while events and events[0][0] == now:
+                    ready.append(pop(events)[2])
+            else:
+                break
+            if t < 0:
+                r = ~t
+                if busy[r]:
+                    continue
+            else:
+                ends[t] = now
+                r = res[t]
+                for s in dependents[t]:
+                    left = remaining[s] = remaining[s] - 1
+                    if not left:
+                        queues[res[s]].append(s)
+                        if not busy[res[s]]:
+                            ready.append(~res[s])
+                busy[r] = False
+            queue = queues[r]
+            if queue:
+                t = queue.popleft()
+                busy[r] = True
+                end = now + (durations[t] if hook is None else hook(t, now))
+                if end == now:
+                    ready.append(t)
+                else:
+                    push(events, (end, seq, t))
+                    seq += 1
+        return ends, now

@@ -73,7 +73,7 @@ class LaunchMode(Enum):
 
 @dataclass
 class GpuExecutor:
-    """Emits launch+kernel task pairs under a given launch mode."""
+    """Emits launch+kernel task pairs (``sim`` may be a GraphRecorder)."""
 
     sim: Simulator
     machine: MachineSpec

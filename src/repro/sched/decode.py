@@ -19,12 +19,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from ..errors import SchedulingError
-from ..hw.event_sim import Simulator, Task
+from ..hw.event_sim import CompiledGraph, GraphRecorder, Simulator, Task
 from ..hw.roofline import pcie_transfer_time_us
-from ..hw.spec import MachineSpec
+from ..hw.spec import MachineSpec, paper_testbed
 from .cuda_graph import GpuExecutor, LaunchMode
 from .workload import (DecodeLayerWork, HybridChunkWork, chunk_only_work,
                        merge_hybrid_work)
@@ -242,6 +242,8 @@ def batched_step_time_us(
     aggregated-ARI kernel dispatch; under the per-expert dispatch it
     reflects one streamed GEMM launch per resident expert instead.
 
+    A miss re-times a topology compiled once per mix of CPU and dense
+    layers, ``config`` and step count, with ``works``' durations.
     Results are memoized per process by graph content: the key is
     ``(tuple(works), config, machine, n_steps, warmup_steps, perturb)``,
     all hashed by value except a ``perturb`` hook that is not a value
@@ -266,14 +268,37 @@ def _simulated_step_us(
     perturb: PerturbHook,
 ) -> float:
     """:func:`batched_step_time_us` behind the memo, arguments validated."""
-    sim = Simulator(perturb=perturb)
-    heads = _chain_decode_steps(sim, list(works), config, machine,
-                                warmup_steps + n_steps)
-    total = sim.drain()
+    ends, total, heads = _retime_decode_chain(
+        works, config, machine, warmup_steps + n_steps, perturb)
     if warmup_steps == 0:
         return total / n_steps
-    warm = heads[warmup_steps - 1].end_time
-    return (total - warm) / n_steps
+    return (total - ends[heads[warmup_steps - 1]]) / n_steps
+
+
+@functools.lru_cache(maxsize=64)     # distinct topologies kept compiled
+def _decode_topology(cpu_layers: tuple[bool, ...], config: DecodeScheduleConfig,
+                     n_steps: int) -> tuple[CompiledGraph, tuple[int, ...]]:
+    """The compiled chain of ``n_steps`` decode steps and each step's head.
+    Works and machine only set durations, so placeholders record it."""
+    works = [DecodeLayerWork(1.0, 1.0, float(cpu), 1.0, 1)
+             for cpu in cpu_layers]
+    rec = GraphRecorder()
+    heads = _chain_decode_steps(rec, works, config, paper_testbed(), n_steps)
+    return rec.compile(), tuple(heads)
+
+
+def _retime_decode_chain(
+        works: Sequence[DecodeLayerWork], config: DecodeScheduleConfig,
+        machine: MachineSpec, n_steps: int, perturb: PerturbHook) -> tuple:
+    """Task end times (by submission order), final time and step heads of
+    ``n_steps`` chained decode steps: one step is recorded with the real
+    builders and its durations are tiled over the compiled chain."""
+    graph, heads = _decode_topology(
+        tuple(w.cpu_routed_us > 0.0 for w in works), config, n_steps)
+    step = GraphRecorder()
+    build_decode_step(step, GpuExecutor(step, machine, config.launch_mode),
+                      works, config, machine, step_deps=[])
+    return (*graph.retime(step.durations * n_steps, perturb), heads)
 
 
 def hybrid_step_time_us(

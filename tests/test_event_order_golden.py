@@ -5,21 +5,24 @@
 dispatches included) going through that heap.  Random task DAGs and
 decode-step graphs run through both it and
 :class:`repro.hw.event_sim.Simulator`; every task must get the same
-resource, start and end time in both.
+resource, start and end time in both.  Random FIFO DAGs and decode graphs
+also run through the compiled re-timer
+(:meth:`repro.hw.event_sim.CompiledGraph.retime`), which must give every
+task the same end time.
 """
 
 import heapq
 import itertools
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.faults import StepPerturbation
 from repro.hw import Simulator, paper_testbed
-from repro.hw.event_sim import TaskState
+from repro.hw.event_sim import GraphRecorder, TaskState
 from repro.sched import DecodeScheduleConfig, GpuExecutor, LaunchMode
-from repro.sched.decode import build_decode_step
+from repro.sched.decode import _retime_decode_chain, build_decode_step
 from repro.sched.workload import DecodeLayerWork
 
 
@@ -198,6 +201,59 @@ def test_random_dags_match_reference_loop(program):
         _run_program(RefSimulator(), program)
 
 
+# -- the compiled re-timer on FIFO DAGs -------------------------------------
+
+def _late_slowdown(task, now):
+    """A plain ``(task, now)`` hook whose answer depends on start time."""
+    return task.duration * 1.5 if now >= 50.0 else task.duration
+
+
+hooks = st.one_of(
+    st.none(),
+    st.just(_late_slowdown),
+    st.tuples(st.floats(1.0, 3.0), st.floats(0.2, 1.0)).map(
+        lambda s: StepPerturbation(cpu_scale=s[0], pcie_scale=s[1]).sim_hook()),
+)
+
+
+@st.composite
+def fifo_dags(draw):
+    """Random DAGs of what the re-timer compiles: capacity-1 resources,
+    priority-0 tasks, everything submitted before the run."""
+    n_res = draw(st.integers(1, 3))
+    tasks = []
+    for i in range(draw(st.integers(1, 30))):
+        deps = draw(st.lists(st.integers(0, i - 1), max_size=3)) if i else []
+        tasks.append((draw(st.integers(0, n_res - 1)), draw(durations), deps))
+    return n_res, tasks
+
+
+def _submit_dag(sim, dag):
+    n_res, tasks = dag
+    resources = [sim.resource(name) for name in ("cpu", "pcie", "gpu")[:n_res]]
+    submitted = []
+    for res, dur, deps in tasks:
+        submitted.append(sim.submit(f"t{len(submitted)}", resources[res], dur,
+                                    deps=[submitted[d] for d in deps]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fifo_dags(), hooks)
+# Two tasks end at t=1.  Both must finish before the FIFO dispatch that
+# the first one's finish queued, or the tasks started at t=1 swap seq
+# and the two waiting on resource 0 swap places at t=3.
+@example(dag=(3, [(0, 1.0, []), (1, 1.0, []), (1, 2.0, []), (2, 2.0, [0]),
+                  (0, 1.0, [3]), (0, 1.0, [2])]), hook=None)
+def test_compiled_dags_match_reference_loop(dag, hook):
+    ref = RefSimulator(perturb=hook)
+    _submit_dag(ref, dag)
+    ref.drain()
+    rec = GraphRecorder()
+    _submit_dag(rec, dag)
+    ends, total = rec.compile().retime(rec.durations, hook)
+    assert (ends, total) == ([t.end_time for t in ref.all_tasks], ref.now)
+
+
 # -- decode-step graphs -------------------------------------------------------
 
 layer_works = st.builds(
@@ -225,17 +281,18 @@ def _run_decode(sim, works, config, machine, n_steps):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(layer_works, min_size=1, max_size=5),
        st.sampled_from(list(LaunchMode)), st.booleans(),
-       st.sampled_from([0, 2]), st.integers(1, 3),
-       st.none() | st.tuples(st.floats(1.0, 3.0), st.floats(0.2, 1.0)))
+       st.sampled_from([0, 2]), st.integers(1, 3), hooks)
 def test_decode_chains_match_reference_loop(works, mode, overlap, n_deferred,
-                                            n_steps, scales):
+                                            n_steps, hook):
     machine = paper_testbed("a100")
     config = DecodeScheduleConfig(launch_mode=mode, overlap_cpu_gpu=overlap,
                                   top_k=6, n_deferred=n_deferred)
-    hook = None if scales is None else StepPerturbation(
-        cpu_scale=scales[0], pcie_scale=scales[1]).sim_hook()
     got = _run_decode(Simulator(perturb=hook), works, config, machine, n_steps)
     want = _run_decode(RefSimulator(perturb=hook), works, config, machine,
                        n_steps)
     assert got == want
     assert all(math.isfinite(end) for *__, end in got[0])
+    # The compiled re-timer: same end time for every task, same total.
+    ends, total, __ = _retime_decode_chain(works, config, machine, n_steps,
+                                           hook)
+    assert (ends, total) == ([end for *__, end in want[0]], want[1])

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.hw.event_sim import Simulator, TaskState
+from repro.hw.event_sim import (DurationScaling, GraphRecorder, Simulator,
+                                 TaskState)
 
 
 def test_single_task_runs_for_duration():
@@ -123,6 +124,18 @@ def test_scheduling_event_in_past_raises():
     sim.run()
     with pytest.raises(SimulationError):
         sim.at(1.0, lambda: None)
+
+
+def test_run_until_in_the_past_raises_and_keeps_the_clock():
+    sim = Simulator()
+    res = sim.resource("cpu")
+    sim.submit("long", res, 100.0)
+    sim.run(until=10.0)
+    with pytest.raises(SimulationError, match="past"):
+        sim.run(until=5.0)
+    assert sim.now == 10.0
+    with pytest.raises(SimulationError):
+        sim.at(6.0, lambda: None)
 
 
 def test_run_until_pauses_and_resumes():
@@ -269,3 +282,49 @@ def test_many_tasks_fifo_fairness():
     starts = [t.start_time for t in tasks]
     assert starts == sorted(starts)
     assert starts == [float(i) for i in range(20)]
+
+
+# -- compiled graphs ----------------------------------------------------------
+
+def test_recorder_rejects_what_the_compiled_loop_cannot_reproduce():
+    rec = GraphRecorder()
+    with pytest.raises(SimulationError, match="capacity-1"):
+        rec.resource("cpu", capacity=2)
+    res = rec.resource("cpu")
+    with pytest.raises(SimulationError, match="priority 0"):
+        rec.submit("urgent", res, 1.0, priority=-1)
+    with pytest.raises(SimulationError, match="negative duration"):
+        rec.submit("bad", res, -1.0)
+
+
+def test_retime_validates_durations_and_hooks():
+    rec = GraphRecorder()
+    cpu, gpu = rec.resource("cpu"), rec.resource("gpu")
+    a = rec.submit("a", cpu, 2.0)
+    rec.submit("b", gpu, 3.0, deps=[a])
+    graph = rec.compile()
+    assert graph.retime([2.0, 3.0]) == ([2.0, 5.0], 5.0)
+    assert graph.retime([2.0, 3.0], DurationScaling(2.0, 1.0)) == \
+        ([4.0, 7.0], 7.0)
+    with pytest.raises(SimulationError, match="3 durations for 2 tasks"):
+        graph.retime([1.0, 1.0, 1.0])
+    with pytest.raises(SimulationError, match="'a'"):
+        graph.retime([2.0, 3.0], DurationScaling(-1.0, 1.0))
+    with pytest.raises(SimulationError, match="'b'"):
+        graph.retime([2.0, 3.0],
+                     lambda task, now: float("nan") if now else 1.0)
+
+
+def test_retime_calls_a_plain_hook_with_each_task_at_its_start():
+    rec = GraphRecorder()
+    cpu = rec.resource("cpu")
+    first = rec.submit("first", cpu, 10.0)
+    rec.submit("second", cpu, 10.0, deps=[first])
+    seen = []
+
+    def perturb(task, now):
+        seen.append((task.name, task.resource.name, task.duration, now))
+        return task.duration * (2.0 if now else 1.0)
+
+    assert rec.compile().retime(rec.durations, perturb) == ([10.0, 30.0], 30.0)
+    assert seen == [("first", "cpu", 10.0, 0.0), ("second", "cpu", 10.0, 10.0)]

@@ -103,3 +103,24 @@ def test_memo_is_bounded():
     info = decode._simulated_step_us.cache_info()
     assert info.maxsize == decode.STEP_PRICE_CACHE_SIZE
     assert info.currsize <= info.maxsize
+
+
+def test_graphs_sharing_a_topology_compile_it_once():
+    """Durations re-time one compiled topology; they never key it."""
+    hook = StepPerturbation(cpu_scale=1.3, pcie_scale=0.7).sim_hook()
+    compiled = decode._decode_topology.cache_info().misses
+    before = _misses()
+    for i in range(10):
+        # A trailing dense layer carries layer 2's deferred transfer
+        # into the next step.
+        works = [DecodeLayerWork(20.0 + i, 5.0, 100.0 + 7 * i, 4096.0, 6),
+                 DecodeLayerWork(22.0, 0.0, 0.0, 0.0, 3),
+                 DecodeLayerWork(21.0, 6.0 + i, 90.0, 2048.0 * (i + 1), 6),
+                 DecodeLayerWork(19.0 + i / 8, 0.0, 0.0, 0.0, 3)]
+        for perturb in (None, hook):
+            price = batched_step_time_us(works, CONFIG, MACHINE, n_steps=4,
+                                         warmup_steps=3, perturb=perturb)
+            assert price == _fresh_price(works, perturb, n_steps=4,
+                                         warmup_steps=3)
+    assert _misses() == before + 20
+    assert decode._decode_topology.cache_info().misses == compiled + 1
