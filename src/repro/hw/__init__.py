@@ -8,7 +8,7 @@ from .calibration import (
     run_calibration_check,
 )
 from .custom import load_machine, machine_from_dict
-from .event_sim import Barrier, Resource, Simulator, Task, TaskState
+from .event_sim import Simulator
 from .roofline import (
     CPU_KERNEL_PROFILES,
     KT_AMX,
@@ -42,7 +42,7 @@ __all__ = [
     "Anchor", "AnchorResult", "format_calibration_report", "paper_anchors",
     "run_calibration_check",
     "load_machine", "machine_from_dict",
-    "Barrier", "Resource", "Simulator", "Task", "TaskState",
+    "Simulator",
     "CPU_KERNEL_PROFILES", "KT_AMX", "KT_AVX512", "LLAMACPP_AVX512",
     "TORCH_AMX", "TORCH_AVX512", "CPUKernelProfile",
     "cpu_gemm_achieved_tflops", "cpu_gemm_time_us",

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .event_sim import Simulator, Task, TaskState
+from .event_sim import Simulator
 
 
 @dataclass(frozen=True)
@@ -35,19 +35,17 @@ class Trace:
 
     @classmethod
     def from_simulator(cls, sim: Simulator) -> "Trace":
-        """Every completed task as an interval -- zero-width ones included.
+        """Every timed task as an interval -- zero-width ones included.
 
         Zero-duration tasks (graph-mode sync points, zero-cost markers)
         are kept as zero-width intervals so ``count()`` and
         ``total_duration()`` see every task that ran; interval-merging
         queries filter them where positive width is required.
         """
-        ivs = [
-            Interval(t.resource.name, t.name, t.start_time, t.end_time)
-            for t in sim.all_tasks
-            if t.state is TaskState.DONE
-        ]
-        return cls(ivs)
+        resources = sim.resource_names
+        return cls([Interval(resources[r], name, start, end)
+                    for name, r, start, end
+                    in zip(sim.names, sim.res, sim.starts, sim.ends)])
 
     # -- queries -------------------------------------------------------------
 

@@ -30,7 +30,7 @@ from enum import Enum
 from typing import Hashable, Iterable, Optional
 
 from ..errors import ConfigError, GraphCaptureError
-from ..hw.event_sim import Resource, Simulator, Task
+from ..hw.event_sim import Simulator
 from ..hw.spec import MachineSpec
 
 # Default host-side launch cost of one captured graph; kept as the
@@ -73,18 +73,18 @@ class LaunchMode(Enum):
 
 @dataclass
 class GpuExecutor:
-    """Emits launch+kernel task pairs (``sim`` may be a GraphRecorder)."""
+    """Emits launch+kernel task pairs into ``sim``, as int task ids."""
 
     sim: Simulator
     machine: MachineSpec
     mode: LaunchMode
 
     def __post_init__(self) -> None:
-        self.gpu: Resource = self.sim.resource("gpu")
-        self.host: Resource = self.sim.resource("host")
-        self._graph_launched_for_step: Optional[Task] = None
+        self.gpu = self.sim.resource("gpu")
+        self.host = self.sim.resource("host")
+        self._graph_launched_for_step: Optional[int] = None
 
-    def begin_step(self, deps: Iterable[Task] = ()) -> Optional[Task]:
+    def begin_step(self, deps: Iterable[int] = ()) -> Optional[int]:
         """Start one decode/prefill step.
 
         In graph mode this is the single host launch that replays the whole
@@ -105,8 +105,8 @@ class GpuExecutor:
         name: str,
         duration_us: float,
         n_kernels: int,
-        deps: Iterable[Task] = (),
-    ) -> Task:
+        deps: Iterable[int] = (),
+    ) -> int:
         """Submit a group of ``n_kernels`` GPU kernels totalling ``duration_us``.
 
         Per-kernel mode: a host launch task (``n_kernels * latency``) must
@@ -136,7 +136,7 @@ class GpuExecutor:
             f"kernel:{name}", self.gpu, duration_us, deps=[launch]
         )
 
-    def sync_point(self, name: str, deps: Iterable[Task] = ()) -> Task:
+    def sync_point(self, name: str, deps: Iterable[int] = ()) -> int:
         """A CPU<->GPU barrier (submit or sync in the paper's terminology).
 
         Inside a CUDA graph these become ``cudaLaunchHostFunc`` callbacks

@@ -19,10 +19,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..errors import SchedulingError
-from ..hw.event_sim import CompiledGraph, GraphRecorder, Simulator, Task
+from ..hw.event_sim import CompiledGraph, DurationScaling, Simulator
 from ..hw.roofline import pcie_transfer_time_us
 from ..hw.spec import MachineSpec, paper_testbed
 from .cuda_graph import GpuExecutor, LaunchMode
@@ -37,7 +37,7 @@ STEP_PRICE_CACHE_SIZE = 1024
 
 # Fault-injection duration hook forwarded to the simulator (see
 # repro.faults.StepPerturbation.sim_hook).
-PerturbHook = Optional[Callable[[Task, float], float]]
+PerturbHook = Optional[DurationScaling]
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,10 @@ def build_decode_step(
     works: list[DecodeLayerWork],
     config: DecodeScheduleConfig,
     machine: MachineSpec,
-    step_deps: list[Task],
+    step_deps: list[int],
     step_idx: int = 0,
-    carried_deferred: Task | None = None,
-) -> tuple[Task, Task | None]:
+    carried_deferred: int | None = None,
+) -> tuple[int, int | None]:
     """Emit the task graph of one decode step.
 
     Returns ``(step_end, trailing_deferred)``: the final merge/LM-head task
@@ -88,8 +88,8 @@ def build_decode_step(
     pcie = sim.resource("pcie")
 
     ex.begin_step(deps=step_deps)
-    prev_out: list[Task] = list(step_deps)
-    prev_deferred_xfer: Task | None = carried_deferred
+    prev_out: list[int] = list(step_deps)
+    prev_deferred_xfer: int | None = carried_deferred
     n_layers = len(works)
 
     for k, w in enumerate(works):
@@ -168,7 +168,7 @@ def _chain_decode_steps(
     config: DecodeScheduleConfig,
     machine: MachineSpec,
     n_steps: int,
-) -> list[Task]:
+) -> list[int]:
     """Chain ``n_steps`` decode steps into ``sim``; returns each step's head.
 
     Every task of step t+1 depends (directly or transitively) on step t's
@@ -177,9 +177,9 @@ def _chain_decode_steps(
     boundary out of one simulation instead of running the prefix twice.
     """
     ex = GpuExecutor(sim, machine, config.launch_mode)
-    deps: list[Task] = []
-    carried: Task | None = None
-    heads: list[Task] = []
+    deps: list[int] = []
+    carried: int | None = None
+    heads: list[int] = []
     for t in range(n_steps):
         end, carried = build_decode_step(
             sim, ex, works, config, machine, step_deps=deps,
@@ -246,9 +246,8 @@ def batched_step_time_us(
     layers, ``config`` and step count, with ``works``' durations.
     Results are memoized per process by graph content: the key is
     ``(tuple(works), config, machine, n_steps, warmup_steps, perturb)``,
-    all hashed by value except a ``perturb`` hook that is not a value
-    object (:meth:`repro.faults.StepPerturbation.sim_hook` is one), which
-    hashes by identity.  A hit returns the float a fresh simulation would.
+    all hashed by value.  A hit returns the float a fresh simulation
+    would.
     """
     if n_steps <= 0:
         raise SchedulingError("n_steps must be positive")
@@ -268,7 +267,7 @@ def _simulated_step_us(
     perturb: PerturbHook,
 ) -> float:
     """:func:`batched_step_time_us` behind the memo, arguments validated."""
-    ends, total, heads = _retime_decode_chain(
+    __, ends, total, heads = _retime_decode_chain(
         works, config, machine, warmup_steps + n_steps, perturb)
     if warmup_steps == 0:
         return total / n_steps
@@ -282,20 +281,21 @@ def _decode_topology(cpu_layers: tuple[bool, ...], config: DecodeScheduleConfig,
     Works and machine only set durations, so placeholders record it."""
     works = [DecodeLayerWork(1.0, 1.0, float(cpu), 1.0, 1)
              for cpu in cpu_layers]
-    rec = GraphRecorder()
-    heads = _chain_decode_steps(rec, works, config, paper_testbed(), n_steps)
-    return rec.compile(), tuple(heads)
+    sim = Simulator()
+    heads = _chain_decode_steps(sim, works, config, paper_testbed(), n_steps)
+    return sim.compile(), tuple(heads)
 
 
 def _retime_decode_chain(
         works: Sequence[DecodeLayerWork], config: DecodeScheduleConfig,
         machine: MachineSpec, n_steps: int, perturb: PerturbHook) -> tuple:
-    """Task end times (by submission order), final time and step heads of
-    ``n_steps`` chained decode steps: one step is recorded with the real
-    builders and its durations are tiled over the compiled chain."""
+    """Task start and end times (by submission order), final time and
+    step heads of ``n_steps`` chained decode steps: one step is recorded
+    with the real builders and its durations are tiled over the compiled
+    chain."""
     graph, heads = _decode_topology(
         tuple(w.cpu_routed_us > 0.0 for w in works), config, n_steps)
-    step = GraphRecorder()
+    step = Simulator()
     build_decode_step(step, GpuExecutor(step, machine, config.launch_mode),
                       works, config, machine, step_deps=[])
     return (*graph.retime(step.durations * n_steps, perturb), heads)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import SchedulingError
-from ..hw.event_sim import Simulator, Task
+from ..hw.event_sim import Simulator
 from ..hw.roofline import pcie_transfer_time_us
 from ..hw.spec import InterconnectSpec, MachineSpec
 from .decode import DecodeScheduleConfig, batched_step_time_us
@@ -62,12 +62,12 @@ def simulate_pipelined_prefill(
     n_layers = len(works_per_chunk[0])
     # last_on_stage[s]: the previous chunk's final task on stage s --
     # a stage processes chunks in order.
-    last_on_stage: dict[int, Task] = {}
-    prev_chunk_layer: list[Task | None] = [None] * n_layers
+    last_on_stage: dict[int, int] = {}
+    prev_chunk_layer: list[int | None] = [None] * n_layers
 
     for c, works in enumerate(works_per_chunk):
         launch = sim.submit(f"launch:{c}", host, machine.gpu.graph_launch_us)
-        prev: list[Task] = [launch]
+        prev: list[int] = [launch]
         prev_stage = 0
         for k, w in enumerate(works):
             stage = config.stage_of(k, n_layers)
@@ -132,7 +132,7 @@ def simulate_pipelined_decode(
     host = sim.resource("host")
 
     n_layers = len(works)
-    prev: list[Task] = []
+    prev: list[int] = []
     for t in range(n_tokens):
         launch = sim.submit(f"launch:{t}", host, machine.gpu.graph_launch_us,
                             deps=prev)

@@ -12,7 +12,7 @@ both the immediate and deferred sets, doubling memory traffic).
 from __future__ import annotations
 
 from ..errors import SchedulingError
-from ..hw.event_sim import Simulator, Task
+from ..hw.event_sim import Simulator
 from ..hw.roofline import pcie_transfer_time_us
 from ..hw.spec import MachineSpec
 from .cuda_graph import GpuExecutor, LaunchMode
@@ -27,9 +27,9 @@ def build_prefill_chunk(
     works: list[PrefillLayerWork],
     machine: MachineSpec,
     overlap_cpu_gpu: bool,
-    chunk_deps: list[Task],
+    chunk_deps: list[int],
     chunk_idx: int = 0,
-) -> Task:
+) -> int:
     """Emit one prefill chunk's task graph; returns the chunk-end task."""
     if not works:
         raise SchedulingError("prefill chunk needs at least one layer")
@@ -37,7 +37,7 @@ def build_prefill_chunk(
     pcie = sim.resource("pcie")
 
     ex.begin_step(deps=chunk_deps)
-    prev_out: list[Task] = list(chunk_deps)
+    prev_out: list[int] = list(chunk_deps)
     for k, w in enumerate(works):
         tag = f"{chunk_idx}.{k}"
         attn = ex.kernel(f"attn:{tag}", w.gpu_attn_us,
@@ -80,7 +80,7 @@ def simulate_prefill(
         raise SchedulingError("prefill needs at least one chunk")
     sim = Simulator()
     ex = GpuExecutor(sim, machine, launch_mode)
-    deps: list[Task] = []
+    deps: list[int] = []
     for i, works in enumerate(works_per_chunk):
         end = build_prefill_chunk(sim, ex, works, machine, overlap_cpu_gpu,
                                   chunk_deps=deps, chunk_idx=i)

@@ -149,9 +149,7 @@ class TestStragglerAndNumaIsolated:
         pcie = sim.submit("p", sim.resource("pcie"), 40.0)
         gpu = sim.submit("g", sim.resource("gpu"), 70.0)
         sim.drain()
-        return (cpu.end_time - cpu.start_time,
-                pcie.end_time - pcie.start_time,
-                gpu.end_time - gpu.start_time)
+        return tuple(sim.ends[t] - sim.starts[t] for t in (cpu, pcie, gpu))
 
     def test_straggler_scales_only_cpu_tasks(self):
         c, p, g = self._task_times(StepPerturbation(cpu_scale=1.6))

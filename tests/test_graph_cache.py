@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hw import KT_AVX512, paper_testbed
+from repro.hw.event_sim import DurationScaling
 from repro.model import QW2
 from repro.moe import NumaStrategy
 from repro.moe.expert_cache import ExpertCacheConfig, ExpertCacheManager
@@ -312,17 +313,21 @@ def _works(n_layers=4, batch=8):
     return [_base_work(batch=batch, ctx=128)] * n_layers
 
 
-def _crc_perturb(task, now):
-    """Deterministic fault hook: jitter scaled by a digest of the name."""
-    scale = 1.0 + (zlib.crc32(task.name.encode()) % 100) / 1000.0
-    return task.duration * scale
+def _crc_scale(resource: str) -> float:
+    """Deterministic jitter: a scale from a digest of the resource name."""
+    return 1.0 + (zlib.crc32(resource.encode()) % 100) / 1000.0
+
+
+# Deterministic fault hook stretching cpu and pcie tasks by their jitter.
+_crc_perturb = DurationScaling(_crc_scale("cpu"), _crc_scale("pcie"))
 
 
 @pytest.mark.parametrize("mode", [LaunchMode.PER_KERNEL_PYTHON,
                                   LaunchMode.PER_KERNEL_CPP,
                                   LaunchMode.CUDA_GRAPH])
 @pytest.mark.parametrize("n_deferred", [0, 2])
-@pytest.mark.parametrize("perturb", [None, _crc_perturb])
+@pytest.mark.parametrize("perturb", [None, _crc_perturb],
+                         ids=["None", "_crc_perturb"])
 def test_single_sim_warmup_matches_two_sim_formula(mode, n_deferred, perturb):
     """The refactored warmup equals pricing the prefix in its own sim."""
     works = _works()

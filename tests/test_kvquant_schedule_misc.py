@@ -112,18 +112,20 @@ class TestSimulatorFailureModes:
         b = sim.submit("b", res, 1.0, deps=[a])
         end = sim.drain()
         assert end == 2.0
-        assert b.start_time == 1.0
+        assert sim.starts[b] == 1.0
 
-    def test_drain_detects_stuck_tasks(self):
-        """drain() is a safety net: a task that never becomes ready (here
-        injected past the public API) is reported, not silently dropped."""
-        from repro.hw.event_sim import Task
-
+    def test_submit_rejects_unknown_ids(self):
+        """A dep must be an earlier task id and a resource a handed-out
+        id; negative indexing must not wire a task to the last one."""
         sim = Simulator()
         res = sim.resource("cpu")
-        sim.submit("ok", res, 1.0)
-        stuck = Task("stuck", res, 1.0)
-        stuck._remaining_deps = 1      # dependency that will never complete
-        sim.all_tasks.append(stuck)
-        with pytest.raises(SimulationError, match="never completed"):
-            sim.drain()
+        a = sim.submit("a", res, 1.0)
+        for deps in ([-1], [a + 1], [a, 5]):
+            with pytest.raises(SimulationError, match="earlier task ids"):
+                sim.submit("x", res, 1.0, deps=deps)
+        for bad in (7, -1):
+            with pytest.raises(SimulationError, match="unknown resource"):
+                sim.submit("x", bad, 1.0)
+        # Rejected submits leave no trace in the graph.
+        assert len(sim.all_tasks) == 1 and sim.dependents == [[]]
+        assert sim.drain() == 1.0

@@ -2,10 +2,11 @@
 
 Random task DAGs are generated and these invariants checked:
 
-- capacity: a resource never runs more tasks concurrently than its slots;
+- capacity: a resource never runs two tasks at once;
 - makespan lower bounds: end time >= critical path through dependencies,
-  and >= per-resource total work / capacity;
-- conservation: every submitted task runs exactly once for its duration.
+  and >= per-resource total work;
+- conservation: every submitted task runs exactly once for its duration;
+- a resource's traced busy time never exceeds the run's span.
 """
 
 import numpy as np
@@ -22,7 +23,6 @@ def task_dags(draw):
     """A random DAG: durations, resource assignment, backward-only edges."""
     n = draw(st.integers(2, 18))
     n_resources = draw(st.integers(1, 3))
-    caps = [draw(st.integers(1, 3)) for __ in range(n_resources)]
     durations = [draw(st.floats(0.5, 50.0)) for __ in range(n)]
     assignment = [draw(st.integers(0, n_resources - 1)) for __ in range(n)]
     edges = []
@@ -30,12 +30,12 @@ def task_dags(draw):
         for j in range(i):
             if draw(st.booleans()) and draw(st.booleans()):
                 edges.append((j, i))
-    return caps, durations, assignment, edges
+    return n_resources, durations, assignment, edges
 
 
-def _run(caps, durations, assignment, edges):
+def _run(n_resources, durations, assignment, edges):
     sim = Simulator()
-    resources = [sim.resource(f"r{i}", capacity=c) for i, c in enumerate(caps)]
+    resources = [sim.resource(f"r{i}") for i in range(n_resources)]
     tasks = []
     deps_of = {i: [] for i in range(len(durations))}
     for j, i in edges:
@@ -52,44 +52,42 @@ def _run(caps, durations, assignment, edges):
 @settings(max_examples=60, deadline=None)
 @given(task_dags())
 def test_property_all_tasks_complete_with_exact_durations(dag):
-    caps, durations, assignment, edges = dag
-    sim, tasks, end, __ = _run(caps, durations, assignment, edges)
-    for t, dur in zip(tasks, durations):
-        assert t.end_time - t.start_time == pytest.approx(dur)
+    sim, tasks, end, __ = _run(*dag)
+    for t, dur in zip(tasks, dag[1]):
+        assert sim.ends[t] - sim.starts[t] == pytest.approx(dur)
 
 
 @settings(max_examples=60, deadline=None)
 @given(task_dags())
 def test_property_dependencies_respected(dag):
-    caps, durations, assignment, edges = dag
-    __, tasks, __, deps_of = _run(caps, durations, assignment, edges)
+    sim, tasks, __, deps_of = _run(*dag)
     for i, deps in deps_of.items():
         for j in deps:
-            assert tasks[i].start_time >= tasks[j].end_time - 1e-9
+            assert sim.starts[tasks[i]] >= sim.ends[tasks[j]] - 1e-9
 
 
 @settings(max_examples=60, deadline=None)
 @given(task_dags())
 def test_property_capacity_never_exceeded(dag):
-    caps, durations, assignment, edges = dag
-    sim, tasks, __, __ = _run(caps, durations, assignment, edges)
-    for r_idx, cap in enumerate(caps):
+    n_resources, __, assignment, __ = dag
+    sim, tasks, __, __ = _run(*dag)
+    for r_idx in range(n_resources):
         intervals = [
-            (t.start_time, t.end_time)
+            (sim.starts[t], sim.ends[t])
             for t, a in zip(tasks, assignment) if a == r_idx
         ]
         points = sorted({p for iv in intervals for p in iv})
         for lo, hi in zip(points, points[1:]):
             mid = (lo + hi) / 2
             running = sum(1 for s, e in intervals if s <= mid < e)
-            assert running <= cap
+            assert running <= 1
 
 
 @settings(max_examples=60, deadline=None)
 @given(task_dags())
 def test_property_makespan_lower_bounds(dag):
-    caps, durations, assignment, edges = dag
-    __, tasks, end, deps_of = _run(caps, durations, assignment, edges)
+    n_resources, durations, assignment, __ = dag
+    __, __, end, deps_of = _run(*dag)
 
     # Critical path bound.
     longest = {}
@@ -99,18 +97,17 @@ def test_property_makespan_lower_bounds(dag):
     assert end >= max(longest.values()) - 1e-6
 
     # Per-resource work bound.
-    for r_idx, cap in enumerate(caps):
+    for r_idx in range(n_resources):
         work = sum(d for d, a in zip(durations, assignment) if a == r_idx)
-        assert end >= work / cap - 1e-6
+        assert end >= work - 1e-6
 
 
 @settings(max_examples=40, deadline=None)
 @given(task_dags())
 def test_property_trace_busy_time_bounded_by_span(dag):
-    caps, durations, assignment, edges = dag
-    sim, __, end, __ = _run(caps, durations, assignment, edges)
+    sim, __, end, __ = _run(*dag)
     trace = Trace.from_simulator(sim)
-    for r_idx in range(len(caps)):
+    for r_idx in range(dag[0]):
         busy = trace.busy_time(f"r{r_idx}")
         assert busy <= end + 1e-6
         assert 0.0 <= trace.utilization(f"r{r_idx}") <= 1.0 + 1e-9
