@@ -290,13 +290,16 @@ class PagedKVPool:
             raise ConfigError(
                 f"pool append shape {k.shape}/{v.shape}, expected {expected}"
             )
-        for row in range(k.shape[0]):
+        n, done = k.shape[0], 0
+        while done < n:                 # one slice per page touched
             page = pages[-1] if pages else self._grow(slot)
             if page.used == self.page_tokens:
                 page = self._grow(slot)
-            page.keys[page.used] = k[row]
-            page.values[page.used] = v[row]
-            page.used += 1
+            take = min(self.page_tokens - page.used, n - done)
+            page.keys[page.used:page.used + take] = k[done:done + take]
+            page.values[page.used:page.used + take] = v[done:done + take]
+            page.used += take
+            done += take
 
     def append_placeholder(self, slot: int, n_tokens: int) -> None:
         """Reserve ``n_tokens`` of zero K/V (occupancy tracking only)."""

@@ -291,14 +291,14 @@ def _retime_decode_chain(
         machine: MachineSpec, n_steps: int, perturb: PerturbHook) -> tuple:
     """Task start and end times (by submission order), final time and
     step heads of ``n_steps`` chained decode steps: one step is recorded
-    with the real builders and its durations are tiled over the compiled
-    chain."""
+    with the real builders, its durations are scaled by ``perturb`` and
+    tiled over the compiled chain."""
     graph, heads = _decode_topology(
         tuple(w.cpu_routed_us > 0.0 for w in works), config, n_steps)
-    step = Simulator()
+    step = Simulator(perturb)
     build_decode_step(step, GpuExecutor(step, machine, config.launch_mode),
                       works, config, machine, step_deps=[])
-    return (*graph.retime(step.durations * n_steps, perturb), heads)
+    return (*graph.retime(step.scaled_durations() * n_steps), heads)
 
 
 def hybrid_step_time_us(

@@ -1,14 +1,16 @@
-"""Golden test: the event loop fires events in exact ``(time, seq)`` order.
+"""Golden test: the simulator fires events in exact ``(time, seq)`` order.
 
 :class:`RefSimulator` below is a minimal reference loop: one heap of
 ``(time, seq, closure)`` events, every event (zero-delay enqueues and
 dispatches included) going through that heap.  Random task DAGs and the
 task graphs the schedulers build (decode steps, prefill chunks, the
 multi-GPU pipeline stages) run through both it and
-:class:`repro.hw.event_sim.Simulator`, whose one loop is the compiled
-re-timer (:meth:`repro.hw.event_sim.CompiledGraph.retime`); every task
-must get the same resource, start and end time in both, and both must
-end at the same time.
+:class:`repro.hw.event_sim.Simulator`; every task must get the same
+resource, start and end time in both, and both must end at the same
+time.  ``Simulator.run`` always takes the event loop; re-timing the
+compiled graph (:meth:`repro.hw.event_sim.CompiledGraph.retime`) takes
+the critical-path pass when the graph is contention-free, so each graph
+is timed both ways, and the tests pin which graphs are contention-free.
 """
 
 import heapq
@@ -17,6 +19,7 @@ import math
 from collections import deque
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +27,8 @@ from repro.faults import StepPerturbation
 from repro.hw import Simulator, paper_testbed
 from repro.sched import DecodeScheduleConfig, GpuExecutor, LaunchMode
 from repro.sched import multi_gpu, prefill
-from repro.sched.decode import _retime_decode_chain, build_decode_step
+from repro.sched.decode import (_decode_topology, _retime_decode_chain,
+                                build_decode_step)
 from repro.sched.multi_gpu import (PipelineConfig, simulate_pipelined_decode,
                                    simulate_pipelined_prefill)
 from repro.sched.prefill import simulate_prefill
@@ -131,13 +135,30 @@ def _timeline(sim):
     return rows, sim.now
 
 
+def _retimed(sim):
+    """``sim``'s recording re-timed through its compiled graph, as a
+    :func:`_timeline`."""
+    starts, ends, final = sim.compile().retime(sim.durations, sim.perturb)
+    return [(sim.names[t], sim.resource_names[sim.res[t]], starts[t], ends[t])
+            for t in sim.all_tasks], final
+
+
+def _contention_free(sim):
+    """Whether re-timing ``sim``'s graph takes the critical-path pass."""
+    return sim.compile().preds is not None
+
+
 def _both(module, build, *args):
     """``build(*args)`` timed by ``module``'s simulator, then by the
-    reference loop standing in for it."""
-    got = _timeline(build(*args))
+    reference loop standing in for it; also checks that re-timing the
+    compiled graph gives the same timeline.  Returns the simulator and
+    both timelines."""
+    sim = build(*args)
+    got = _timeline(sim)
+    assert _retimed(sim) == got
     with mock.patch.object(module, "Simulator", RefSimulator):
         want = _timeline(build(*args))
-    return got, want
+    return sim, got, want
 
 
 # -- random DAGs --------------------------------------------------------------
@@ -164,14 +185,36 @@ def fifo_dags(draw):
     return n_res, tasks
 
 
-def _run_dag(sim, dag):
+@st.composite
+def contention_free_dags(draw):
+    """Random DAGs in which each task also depends on the previous task
+    on its resource, so no task waits for its resource.  Durations
+    repeat and include zeros, so ends tie."""
+    n_res = draw(st.integers(1, 3))
+    last = [None] * n_res
+    tasks = []
+    for i in range(draw(st.integers(1, 30))):
+        res = draw(st.integers(0, n_res - 1))
+        deps = draw(st.lists(st.integers(0, i - 1), max_size=3)) if i else []
+        if last[res] is not None:
+            deps.insert(draw(st.integers(0, len(deps))), last[res])
+        last[res] = i
+        tasks.append((res, draw(durations), deps))
+    return n_res, tasks
+
+
+def _record_dag(sim, dag):
     n_res, tasks = dag
     resources = [sim.resource(name) for name in ("cpu", "pcie", "gpu")[:n_res]]
     submitted = []
     for res, dur, deps in tasks:
         submitted.append(sim.submit(f"t{len(submitted)}", resources[res], dur,
                                     deps=[submitted[d] for d in deps]))
-    sim.drain()
+    return sim
+
+
+def _run_dag(sim, dag):
+    _record_dag(sim, dag).drain()
     return _timeline(sim)
 
 
@@ -187,8 +230,33 @@ def _run_dag(sim, dag):
 @example(dag=(3, [(0, 1.0, []), (1, 1.0, []), (2, 1.0, []), (0, 1.0, [1]),
                   (0, 1.0, [2])]), hook=None)
 def test_compiled_dags_match_reference_loop(dag, hook):
-    assert _run_dag(Simulator(perturb=hook), dag) == \
-        _run_dag(RefSimulator(perturb=hook), dag)
+    sim = Simulator(perturb=hook)
+    want = _run_dag(RefSimulator(perturb=hook), dag)
+    assert _run_dag(sim, dag) == want
+    assert _retimed(sim) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(contention_free_dags(), hooks)
+# Zero-length tasks tie at t=0 and t=1 across all three resources.
+@example(dag=(3, [(0, 0.0, []), (1, 0.0, [0]), (2, 1.0, [0]),
+                  (0, 0.0, [1, 0]), (1, 1.0, [2, 1]), (2, 0.0, [4, 2])]),
+         hook=None)
+def test_contention_free_dags_take_the_critical_path(dag, hook):
+    sim = _record_dag(Simulator(perturb=hook), dag)
+    assert _contention_free(sim)
+    assert _retimed(sim) == _run_dag(RefSimulator(perturb=hook), dag)
+
+
+def test_tasks_queueing_on_a_resource_take_the_event_loop():
+    """Two independent tasks on one resource: the second waits."""
+    sim = Simulator()
+    cpu = sim.resource("cpu")
+    sim.submit("a", cpu, 1.0)
+    sim.submit("b", cpu, 1.0)
+    assert not _contention_free(sim)
+    assert _retimed(sim) == ([("a", "cpu", 0.0, 1.0), ("b", "cpu", 1.0, 2.0)],
+                             2.0)
 
 
 # -- decode-step graphs -------------------------------------------------------
@@ -229,11 +297,36 @@ def test_decode_chains_match_reference_loop(works, mode, overlap, n_deferred,
                        n_steps)
     assert got == want
     assert all(math.isfinite(end) for *__, end in got[0])
-    # The tiled re-time of the cached topology: same times, same total.
+    # The tiled re-time of the cached topology: same times, same total,
+    # through whichever path the topology takes.
     starts, ends, total, __ = _retime_decode_chain(works, config, machine,
                                                    n_steps, hook)
     assert (starts, ends, total) == ([row[2] for row in want[0]],
                                      [row[3] for row in want[0]], want[1])
+    moe = tuple(w.cpu_routed_us > 0.0 for w in works)
+    graph, __ = _decode_topology(moe, config, n_steps)
+    if mode is LaunchMode.CUDA_GRAPH and overlap and not n_deferred:
+        assert graph.preds is not None
+    if (n_deferred and any(moe[:-1])) or \
+            (not mode.uses_graph and overlap and any(moe)):
+        assert graph.preds is None
+
+
+@pytest.mark.parametrize("moe", [(True,) * 4, (False, True, True, True),
+                                 (True, False, True), (False, False)])
+def test_serving_decode_topologies_take_the_critical_path(moe):
+    """The serving engine's chains (one CUDA graph per step, CPU/GPU
+    overlap) never queue a task; Expert Deferral and per-kernel launches
+    do, wherever a layer carries CPU work."""
+    def topology(mode=LaunchMode.CUDA_GRAPH, n_deferred=0):
+        config = DecodeScheduleConfig(launch_mode=mode, overlap_cpu_gpu=True,
+                                      top_k=6, n_deferred=n_deferred)
+        return _decode_topology(moe, config, 6)[0]
+
+    assert topology().preds is not None
+    assert (topology(n_deferred=2).preds is None) == any(moe[:-1])
+    for mode in (LaunchMode.PER_KERNEL_CPP, LaunchMode.PER_KERNEL_PYTHON):
+        assert (topology(mode).preds is None) == any(moe)
 
 
 # -- prefill chunks and multi-GPU stage graphs -------------------------------
@@ -253,9 +346,11 @@ prefill_works = st.builds(
                 min_size=1, max_size=3),
        st.sampled_from(list(LaunchMode)), st.booleans())
 def test_prefill_chunks_match_reference_loop(chunks, mode, overlap):
-    got, want = _both(prefill, simulate_prefill, chunks, mode,
-                      paper_testbed("a100"), overlap)
+    sim, got, want = _both(prefill, simulate_prefill, chunks, mode,
+                           paper_testbed("a100"), overlap)
     assert got == want
+    if mode is LaunchMode.CUDA_GRAPH:
+        assert _contention_free(sim)
 
 
 @settings(max_examples=60, deadline=None)
@@ -265,12 +360,15 @@ def test_pipelined_stage_graphs_match_reference_loop(n_layers, n_chunks,
                                                      n_stages, pool, n_tokens):
     machine, config = paper_testbed("a100"), PipelineConfig(n_stages)
     chunks = [pool[c:c + n_layers] for c in range(n_chunks)]
-    got, want = _both(multi_gpu, simulate_pipelined_prefill, chunks, machine,
-                      config)
+    sim, got, want = _both(multi_gpu, simulate_pipelined_prefill, chunks,
+                           machine, config)
     assert got == want
+    if n_chunks == 1:        # later chunks' graph launches queue on the host
+        assert _contention_free(sim)
     decode_works = [DecodeLayerWork(w.gpu_attn_us, w.gpu_shared_us,
                                     w.cpu_routed_us, w.transfer_bytes,
                                     w.n_gpu_kernels) for w in chunks[0]]
-    got, want = _both(multi_gpu, simulate_pipelined_decode, decode_works,
-                      machine, config, n_tokens)
+    sim, got, want = _both(multi_gpu, simulate_pipelined_decode, decode_works,
+                           machine, config, n_tokens)
     assert got == want
+    assert _contention_free(sim)

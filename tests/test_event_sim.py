@@ -72,6 +72,17 @@ def test_negative_duration_rejected():
         sim.submit("bad", res, -1.0)
 
 
+def test_non_finite_duration_rejected():
+    """A NaN or infinite task would poison every later time."""
+    sim = Simulator()
+    res = sim.resource("cpu")
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(SimulationError, match="finite"):
+            sim.submit("bad", res, bad)
+    sim.submit("ok", res, 1.0)
+    assert sim.drain() == 1.0
+
+
 def test_duplicate_resource_same_capacity_is_shared():
     """Every resource runs one task at a time, so a name is one resource."""
     sim = Simulator()

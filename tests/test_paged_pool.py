@@ -142,6 +142,51 @@ class TestGatherCorrectness:
         np.testing.assert_array_equal(pool.keys(b), k2)
         np.testing.assert_array_equal(pool.values(b), v2)
 
+    def test_append_matches_rowwise_reference(self):
+        """Appends copy a slice per page; the pages end up exactly as a
+        row-at-a-time copy leaves them, from a partly filled (recycled)
+        page, across page boundaries and up to budget exhaustion."""
+        def append_rowwise(pool, slot, k, v):
+            pages = pool._slots[slot]
+            for row in range(k.shape[0]):
+                page = pages[-1] if pages else pool._grow(slot)
+                if page.used == pool.page_tokens:
+                    page = pool._grow(slot)
+                page.keys[page.used] = k[row]
+                page.values[page.used] = v[row]
+                page.used += 1
+
+        def pages(pool):
+            every = [p for ps in pool._slots.values() for p in ps]
+            return [(p.used, p.keys.copy(), p.values.copy())
+                    for p in every + pool._free]
+
+        rng = np.random.default_rng(2)
+        pools = [PagedKVPool(n_heads=2, head_dim=4, budget_tokens=40,
+                             page_tokens=8) for _ in range(2)]
+        appends = [pools[0].append, lambda *a: append_rowwise(pools[1], *a)]
+        first = [pool.allocate() for pool in pools]
+        stale = _rows(rng, 13)
+        for pool, append, slot in zip(pools, appends, first):
+            append(slot, *stale)
+            pool.free(slot)        # recycled pages keep stale rows
+        slots = [pool.allocate() for pool in pools]
+        for n in (3, 0, 5, 21, 1, 6):     # 3 partly fills the first page
+            rows = _rows(rng, n)
+            for append, slot in zip(appends, slots):
+                append(slot, *rows)
+        rows = _rows(rng, 9)
+        for append, slot in zip(appends, slots):   # 36 of 40 tokens held
+            with pytest.raises(KVCacheError):
+                append(slot, *rows)
+        want = pages(pools[1])
+        for (used, k, v), (want_used, want_k, want_v) in zip(
+                pages(pools[0]), want, strict=True):
+            assert used == want_used
+            np.testing.assert_array_equal(k, want_k)
+            np.testing.assert_array_equal(v, want_v)
+        assert [p.tokens(s) for p, s in zip(pools, slots)] == [40, 40]
+
     def test_empty_slot_gathers_empty(self):
         pool = PagedKVPool(n_heads=2, head_dim=4, budget_tokens=32)
         s = pool.allocate()

@@ -16,7 +16,7 @@ structural invariants the serving engine relies on:
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError, KVCacheError
@@ -359,11 +359,20 @@ def _run_ops(ops, budget_tokens, capacity, tier):
             probe = cache.probe(prompt)
             assert probe.matched_tokens < len(prompt)
             assert probe.matched_tokens % PAGE == 0
-            matched, unparked = cache.acquire(prompt, now)
-            assert matched == probe.matched_tokens
-            assert unparked == probe.unpark_tokens
-            held.append((prompt, matched))
-            trace.append(("acq", matched, unparked))
+            # acquire() unparks into pool pages the caller has reserved;
+            # reserve them as the serving engine does, evicting off the
+            # probed path, and skip the acquire when they cannot be freed.
+            short = (cache.pool.pages_needed(probe.unpark_tokens)
+                     - cache.pool.free_pages)
+            if short > 0 and cache.evict_pages(short, now,
+                                               protect=probe.nodes) < short:
+                trace.append(("acq-full", probe.unpark_tokens))
+            else:
+                matched, unparked = cache.acquire(prompt, now)
+                assert matched == probe.matched_tokens
+                assert unparked == probe.unpark_tokens
+                held.append((prompt, matched))
+                trace.append(("acq", matched, unparked))
         elif op == "release" and held:
             prompt_r, matched = held.pop(family % len(held))
             cache.release(prompt_r, matched, now)
@@ -401,6 +410,11 @@ tier_strategy = st.none() | st.builds(
        budget=st.sampled_from([4 * PAGE, 16 * PAGE, 256 * PAGE]),
        capacity=st.none() | st.sampled_from([2 * PAGE, 8 * PAGE]),
        tier=tier_strategy)
+# The parked page must come back while a second prompt fills the pool.
+@example(ops=[("insert", 0, 1, 0), ("park", 0, 1, 0), ("insert", 1, 4, 0),
+              ("acquire", 0, 1, 0)],
+         budget=4 * PAGE, capacity=None,
+         tier=KVTierConfig(host_budget_tokens=PAGE, idle_park_us=0.0))
 def test_fuzz_interleavings_preserve_invariants(ops, budget, capacity, tier):
     cache, _ = _run_ops(ops, budget, capacity, tier)
     # After draining refs, everything must be evictable/droppable: a
