@@ -142,14 +142,14 @@ def _phase_a_plan(session):
         rng.multinomial(12 * DS3.top_k, _hot_probs(DS3.n_experts, SRV_HOT_A))
         for _ in range(50)
     )[np.newaxis, :]
-    expert_bytes = DS3.expert_bytes(session.costs.dtype)
+    expert_bytes = DS3.expert_bytes(session.dtype)
     return plan_gpu_residency(popularity,
                               vram_budget_bytes=SRV_CAPACITY * expert_bytes,
                               expert_bytes=expert_bytes)
 
 
 def _run_server(session, plan, dynamic):
-    expert_bytes = DS3.expert_bytes(session.costs.dtype)
+    expert_bytes = DS3.expert_bytes(session.dtype)
     # An infinite admission margin freezes the warm-started plan: that is
     # exactly "static placement" expressed as a degenerate cache policy.
     overrides = {} if dynamic else {"admit_margin": float("inf")}

@@ -22,7 +22,6 @@ from repro.serving import (
     BatchSchedulerConfig,
     ContinuousBatchingServer,
     InferenceSession,
-    LocalServer,
     ServingSLO,
     poisson_workload,
 )
@@ -40,6 +39,7 @@ def _sweep():
     model = MoETransformer(tiny_config("tiny-qw", top_k=6))
     session = InferenceSession(model, DS3)
     config = BatchSchedulerConfig(kv_budget_tokens=4096, max_batch_size=16)
+    batch1 = BatchSchedulerConfig(max_batch_size=1)
     results = []
     for label, interarrival_s in RATES:
         workload = poisson_workload(
@@ -50,7 +50,8 @@ def _sweep():
             vocab_size=model.config.vocab_size,
             seed=5,
         )
-        local = LocalServer(session).replay(list(workload)).summary()
+        local = ContinuousBatchingServer(session, batch1).replay(
+            list(workload)).summary()
         server = ContinuousBatchingServer(session, config)
         stats = server.replay(list(workload))
         cont = stats.summary()

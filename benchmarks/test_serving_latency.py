@@ -1,14 +1,20 @@
 """Serving-latency characterization of the KTransformers deployment.
 
 Not a paper figure, but the quantity local users feel: time-to-first-token
-and time-per-output-token under increasing request rates, served by the
-batch-1 local server with simulated DS-3-scale costs and real generated
-tokens from the functional model.
+and time-per-output-token under increasing request rates, served one
+request at a time (the serving engine at ``max_batch_size=1``, the
+paper's local deployment) with simulated DS-3-scale costs and output
+lengths from the session.
 """
 
 from repro.bench import format_table
 from repro.model import DS3, MoETransformer, tiny_config
-from repro.serving import InferenceSession, LocalServer, poisson_workload
+from repro.serving import (
+    BatchSchedulerConfig,
+    ContinuousBatchingServer,
+    InferenceSession,
+    poisson_workload,
+)
 
 
 def _latency_sweep():
@@ -18,7 +24,8 @@ def _latency_sweep():
     for label, interarrival_s in (("light (1 req/min)", 60.0),
                                   ("moderate (1 req/10s)", 10.0),
                                   ("heavy (1 req/2s)", 2.0)):
-        server = LocalServer(session)
+        server = ContinuousBatchingServer(
+            session, BatchSchedulerConfig(max_batch_size=1))
         workload = poisson_workload(
             n_requests=8,
             mean_interarrival_us=interarrival_s * 1e6,

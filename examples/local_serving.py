@@ -2,8 +2,9 @@
 
 Couples the functional tiny model (real tokens) with DS-3-scale simulated
 costs, streams tokens with their simulated timestamps, then replays a
-bimodal chat workload through the batch-1 local server and reports
-TTFT/TPOT percentiles -- the numbers a local user actually feels.
+bimodal chat workload through the serving engine at batch size 1 (the
+paper's local deployment) and reports TTFT/TPOT percentiles -- the
+numbers a local user actually feels.
 
 Run:  python examples/local_serving.py
 """
@@ -13,9 +14,10 @@ import numpy as np
 from repro import DS3, MoETransformer, tiny_config
 from repro.bench.workloads import chat_workload_lengths, expected_tokens
 from repro.serving import (
+    BatchSchedulerConfig,
+    ContinuousBatchingServer,
     GenerationRequest,
     InferenceSession,
-    LocalServer,
     TimedRequest,
 )
 
@@ -34,7 +36,7 @@ def main() -> None:
         on_token=lambda tok, us: print(f"   t={us / 1e3:8.1f} ms  token {tok}"),
     )
 
-    # -- a chat workload through the local server ----------------------------
+    # -- a chat workload, served one request at a time ----------------------
     specs = chat_workload_lengths(n_requests=10, seed=4)
     p_total, g_total = expected_tokens(specs)
     print(f"\nReplaying {len(specs)} chat requests "
@@ -52,7 +54,9 @@ def main() -> None:
                 max_new_tokens=min(spec.generate_tokens, 12),
             ),
         ))
-    stats = LocalServer(session).replay(workload)
+    server = ContinuousBatchingServer(session,
+                                      BatchSchedulerConfig(max_batch_size=1))
+    stats = server.replay(workload)
     summary = stats.summary()
     print("Latency summary:")
     for key in ("ttft_p50_ms", "ttft_p95_ms", "tpot_p50_ms",

@@ -1,19 +1,15 @@
-"""Serving layer: sessions (output lengths, simulated clocks) and servers.
+"""Serving layer: sessions (output lengths, simulated clocks) and the engine.
 
-Two servers share the same workload/stats types: the paper's batch-1
-``LocalServer`` and the iteration-level ``ContinuousBatchingServer``
-(optionally priority-aware with swap/recompute preemption, and
-optionally session-aware via the radix prefix-KV cache and host KV
-tier in :mod:`repro.serving.prefix_cache`).
+One engine serves every workload: the iteration-level
+``ContinuousBatchingServer`` (optionally priority-aware with
+swap/recompute preemption, and optionally session-aware via the radix
+prefix-KV cache and host KV tier in :mod:`repro.serving.prefix_cache`).
+The paper's batch-1 local deployment is that engine with
+``BatchSchedulerConfig(max_batch_size=1)``, and every serving price
+comes from one :class:`~repro.serving.pricing.BatchCostModel`.
 """
 
-from .continuous import (
-    BatchCostModel,
-    BatchSchedulerConfig,
-    ContinuousBatchingServer,
-    StepShape,
-    serving_expert_cache,
-)
+from .continuous import ContinuousBatchingServer, serving_expert_cache
 from .controller import (
     ControllerConfig,
     ControllerStats,
@@ -52,25 +48,18 @@ from .prefix_cache import (
     PrefixCacheConfig,
     RadixPrefixCache,
 )
+from .pricing import BatchCostModel, BatchSchedulerConfig, StepShape
 from .priority import Priority, PriorityConfig
 from .resilience import DegradationTracker, ResilienceConfig, RetryState
-from .server import (
-    LocalServer,
-    TimedRequest,
-    multi_turn_workload,
-    poisson_workload,
-)
-from .session import (
-    GenerationRequest,
-    GenerationResult,
-    InferenceSession,
-    PhaseCostModel,
-)
+from .session import GenerationRequest, GenerationResult, InferenceSession
 from .traffic import (
+    TimedRequest,
     TrafficPhase,
     diurnal_workload,
     flash_crowd_workload,
     hot_set_shift_workload,
+    multi_turn_workload,
+    poisson_workload,
     three_phase_scenario,
 )
 
@@ -89,9 +78,8 @@ __all__ = [
     "KVTierConfig", "MatchProbe", "PrefixCacheConfig", "RadixPrefixCache",
     "Priority", "PriorityConfig",
     "DegradationTracker", "ResilienceConfig", "RetryState",
-    "LocalServer", "TimedRequest", "multi_turn_workload", "poisson_workload",
+    "TimedRequest", "multi_turn_workload", "poisson_workload",
     "GenerationRequest", "GenerationResult", "InferenceSession",
-    "PhaseCostModel",
     "TrafficPhase", "diurnal_workload", "flash_crowd_workload",
     "hot_set_shift_workload", "three_phase_scenario",
 ]

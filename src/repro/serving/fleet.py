@@ -11,7 +11,8 @@ pluggable policy:
 
 - ``"round-robin"`` -- rotate over the replicas currently accepting;
 - ``"least-loaded"`` -- estimated-backlog argmin (prefill + decode cost
-  from the session's :class:`~repro.serving.session.PhaseCostModel`);
+  estimated from the session's
+  :class:`~repro.serving.pricing.BatchCostModel`);
 - ``"session-affinity"`` -- sticky ``session_id -> replica`` mapping so
   multi-turn prefix reuse survives routing (falls back to least-loaded
   for untagged or orphaned traffic, counting every rebalance);
@@ -54,7 +55,7 @@ from ..kernels.backend import resolve_backend
 from .continuous import ContinuousBatchingServer
 from .metrics import PipelineStats, RequestTiming, ServingSLO, ServingStats
 from .priority import Priority
-from .server import TimedRequest
+from .traffic import TimedRequest
 
 ROUTING_POLICIES = ("round-robin", "least-loaded", "session-affinity",
                     "priority-spill", "adaptive")
@@ -398,15 +399,16 @@ class FleetRouter:
     def _estimate_us(self, timed: TimedRequest) -> float:
         """Estimated service time of one request on an idle replica.
 
-        The session's coarse :class:`~repro.serving.session.
-        PhaseCostModel` (prefill + per-token decode) -- a routing
-        heuristic, deliberately cheaper and rougher than the batch-aware
-        pricing the replica itself will charge.
+        A routing heuristic read off the session's cost model, coarser
+        than what the replica itself will charge: prefill is the prompt's
+        prefill-bucket pass scaled per token, and each output token
+        costs one batch-1 decode step at the smallest context bucket.
         """
         costs = self._probe.session.costs
         prompt_len = len(np.atleast_1d(timed.request.prompt))
-        return (costs.prefill_us(prompt_len)
-                + costs.per_token_us() * timed.request.max_new_tokens)
+        bucket = costs.prefill_bucket(prompt_len)
+        return (costs.batched_prefill_us(bucket) / bucket * prompt_len
+                + costs.decode_step_us([1]) * timed.request.max_new_tokens)
 
     # -- policies ------------------------------------------------------------
 

@@ -14,8 +14,8 @@ behind bulk (BATCH) traffic, yet bulk traffic must not starve either.
   by KV-pool pressure or the batch-size cap, the scheduler may evict the
   lowest-priority in-flight victim via one of two mechanisms, chosen per
   victim by a cost model (see
-  :meth:`repro.serving.continuous.BatchCostModel.swap_transfer_us` /
-  :meth:`~repro.serving.continuous.BatchCostModel.recompute_resume_us`):
+  :meth:`repro.serving.pricing.BatchCostModel.swap_transfer_us` /
+  :meth:`~repro.serving.pricing.BatchCostModel.recompute_resume_us`):
 
   * ``swap`` -- the victim's KV pages move to host memory over PCIe and
     move back on resume (priced on the possibly fault-degraded link);

@@ -9,36 +9,39 @@ An :class:`InferenceSession` couples the two halves of the reproduction:
   the session reports the TTFT/TPOT a Table-1-scale deployment would see.
 
 Despite the name, a session is *not* a standalone serving loop and holds
-no multi-turn state: it is the length/cost backend shared by both servers
--- the batch-1 :class:`~repro.serving.server.LocalServer` and the
-iteration-level :class:`~repro.serving.continuous.
-ContinuousBatchingServer`.  The servers schedule output *lengths*, read
-from :meth:`InferenceSession.output_length`: every ``generate`` call is
-stateless and runs to ``max_new_tokens`` unless a stop token ends it, so
-the functional model runs only for requests that carry a stop token.
-Conversational KV state across turns (shared system prompts, earlier
-turns' pages) lives in the engine's radix prefix cache
-(:mod:`repro.serving.prefix_cache`), not here.
+no multi-turn state: it is the deployment (system, preset, machine,
+dtype, deferral) plus the length backend of the serving engine,
+:class:`~repro.serving.continuous.ContinuousBatchingServer` (batch-1
+serving is that engine at ``max_batch_size=1``).  The engine schedules
+output *lengths*, read from :meth:`InferenceSession.output_length`:
+every ``generate`` call is stateless and runs to ``max_new_tokens``
+unless a stop token ends it, so the functional model runs only for
+requests that carry a stop token.  Conversational KV state across turns
+(shared system prompts, earlier turns' pages) lives in the engine's
+radix prefix cache (:mod:`repro.serving.prefix_cache`), not here.
 
-Phase costs are measured once per (prompt-length bucket) via the same
-engine entry points the benchmarks use, then cached.
+``session.costs`` is a default-configured
+:class:`~repro.serving.pricing.BatchCostModel`: ``generate`` prices the
+prefill pass and each token exactly as the batch-1 engine charges a lone
+request's prefill pass and first decode step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from ..baselines.base import SystemProfile
 from ..core.deferral import DeferralConfig, DeferralEngine
-from ..core.engine import KTRANSFORMERS, run_decode, run_prefill
+from ..core.engine import KTRANSFORMERS
 from ..errors import ConfigError
 from ..hw.spec import MachineSpec, paper_testbed
 from ..model.presets import ModelPreset
 from ..model.transformer import MoETransformer
 from ..tensor.dtypes import BF16, DType
+from .pricing import BatchCostModel
 
 
 @dataclass(frozen=True)
@@ -81,44 +84,6 @@ class GenerationResult:
         return 1e6 / self.per_token_us
 
 
-class PhaseCostModel:
-    """Caches simulated prefill/decode costs per prompt-length bucket."""
-
-    BUCKETS = (32, 128, 512, 2048, 8192)
-
-    def __init__(self, system: SystemProfile, preset: ModelPreset,
-                 machine: MachineSpec, dtype: DType,
-                 n_deferred: int = 0) -> None:
-        self.system = system
-        self.preset = preset
-        self.machine = machine
-        self.dtype = dtype
-        self.n_deferred = n_deferred
-        self._prefill_us: dict[int, float] = {}
-        self._per_token_us: Optional[float] = None
-
-    def _bucket(self, prompt_len: int) -> int:
-        for b in self.BUCKETS:
-            if prompt_len <= b:
-                return b
-        return self.BUCKETS[-1]
-
-    def prefill_us(self, prompt_len: int) -> float:
-        bucket = self._bucket(prompt_len)
-        if bucket not in self._prefill_us:
-            r = run_prefill(self.system, self.preset, self.machine,
-                            self.dtype, prompt_len=bucket)
-            self._prefill_us[bucket] = r.elapsed_us / bucket
-        return self._prefill_us[bucket] * prompt_len
-
-    def per_token_us(self) -> float:
-        if self._per_token_us is None:
-            r = run_decode(self.system, self.preset, self.machine, self.dtype,
-                           n_tokens=8, n_deferred=self.n_deferred)
-            self._per_token_us = r.elapsed_us / 8
-        return self._per_token_us
-
-
 class InferenceSession:
     """A ready-to-serve deployment of a functional model."""
 
@@ -131,18 +96,24 @@ class InferenceSession:
         dtype: DType = BF16,
         n_deferred: Optional[int] = None,
     ) -> None:
-        self.model = model
-        self.preset = preset
-        self.machine = machine or paper_testbed("a100")
         if n_deferred is None:
             n_deferred = 0
+        # The functional model and the priced preset must both keep at
+        # least two immediate experts; checking here fails a bad value
+        # at construction, not at the first priced step.
+        deferral = DeferralConfig(n_deferred)
+        deferral.n_immediate(preset.top_k)
+        self.model = model
+        self.system = system
+        self.preset = preset
+        self.machine = machine or paper_testbed("a100")
+        self.dtype = dtype
         self.n_deferred = n_deferred
         if n_deferred > 0:
-            self._engine = DeferralEngine(model, DeferralConfig(n_deferred))
+            self._engine = DeferralEngine(model, deferral)
         else:
             self._engine = model
-        self.costs = PhaseCostModel(system, preset, self.machine, dtype,
-                                    n_deferred=n_deferred)
+        self.costs = BatchCostModel(self)
 
     def generate(
         self,
@@ -158,8 +129,8 @@ class InferenceSession:
             temperature=request.temperature,
             stop_token=request.stop_token,
         )
-        prefill_us = self.costs.prefill_us(len(prompt))
-        per_token = self.costs.per_token_us()
+        prefill_us = self.costs.batched_prefill_us(len(prompt))
+        per_token = self.costs.decode_step_us([len(prompt)])
         if on_token is not None:
             clock = prefill_us
             for t in tokens:

@@ -172,7 +172,7 @@ class TestBatchCostModelHybrid:
         pricing the merged works through sched.decode.hybrid_step_time_us."""
         costs = BatchCostModel(session)
         got = costs.decode_step_us([64] * 8, chunk_tokens=32)
-        c = session.costs
+        c = session
         decode_works, _ = batched_decode_works(
             c.system, c.preset, c.machine, c.dtype, context_lens=[64] * 8)
         chunk_works, _ = hybrid_chunk_works(
@@ -213,7 +213,7 @@ class TestBatchCostModelHybrid:
     def test_hybrid_dispatch_summary_combines(self, session):
         costs = BatchCostModel(session)
         s = costs.dispatch_summary([64] * 8, chunk_tokens=32)
-        preset = session.costs.preset
+        preset = session.preset
         assert sum(s.expert_token_counts) == (8 + 32) * preset.top_k
 
 
@@ -377,10 +377,10 @@ class TestChunkedWithCacheAndFaults:
     """Hybrid iterations compose with the expert cache and chaos arms."""
 
     def _chaos_server(self, session, chunk):
-        preset = session.costs.preset
+        preset = session.preset
         cache = serving_expert_cache(
             session,
-            vram_budget_bytes=24 * preset.expert_bytes(session.costs.dtype))
+            vram_budget_bytes=24 * preset.expert_bytes(session.dtype))
         cfg = BatchSchedulerConfig(kv_budget_tokens=512, max_batch_size=4,
                                    prefill_chunk_tokens=chunk)
         return ContinuousBatchingServer(

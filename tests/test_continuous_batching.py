@@ -14,7 +14,6 @@ from repro.serving import (
     BatchSchedulerConfig,
     ContinuousBatchingServer,
     InferenceSession,
-    LocalServer,
     ServingSLO,
     TimedRequest,
     poisson_workload,
@@ -207,7 +206,8 @@ class TestContinuousBatchingServer:
         """Batching changes timing, never token values."""
         wl = _workload(4, 1e5, seed=11)
         cb = ContinuousBatchingServer(session).replay(list(wl))
-        b1 = LocalServer(session).replay(list(wl))
+        b1 = ContinuousBatchingServer(
+            session, BatchSchedulerConfig(max_batch_size=1)).replay(list(wl))
         assert ([t.generated_tokens for t in sorted(
             cb.timings, key=lambda t: t.arrival_us)]
             == [t.generated_tokens for t in b1.timings])
@@ -215,7 +215,9 @@ class TestContinuousBatchingServer:
     def test_faster_than_batch1_under_load(self, session):
         wl = _workload(10, 1e4, new_tokens=8)
         cb = ContinuousBatchingServer(session).replay(list(wl)).summary()
-        b1 = LocalServer(session).replay(list(wl)).summary()
+        b1 = ContinuousBatchingServer(
+            session, BatchSchedulerConfig(max_batch_size=1)).replay(
+                list(wl)).summary()
         assert cb["requests_per_s"] > b1["requests_per_s"]
         assert cb["ttft_p95_ms"] < b1["ttft_p95_ms"]
 

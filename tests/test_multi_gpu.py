@@ -178,7 +178,7 @@ class TestBatchCostModelPipeline:
         model = BatchCostModel(session, pipeline_stages=2)
         ctx = [64] * 4
         ratio, boundary = model.pipeline_factors(ctx)
-        link = session.costs.machine.interconnect
+        link = session.machine.interconnect
         expected = (model.decode_step_us(ctx) * ratio
                     + sum(pcie_transfer_time_us(b, link) for b in boundary))
         assert model.staged_decode_step_us(ctx) == expected
@@ -193,7 +193,7 @@ class TestBatchCostModelPipeline:
         model.decode_step_us(ctx)
         direct = staged_step_time_us(
             model._works[model.step_shape(ctx)], model._schedule_config(),
-            session.costs.machine, PipelineConfig(2))
+            session.machine, PipelineConfig(2))
         assert via_ratio == direct
 
 

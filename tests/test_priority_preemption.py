@@ -237,7 +237,7 @@ class TestPreemptionPricing:
 
     def test_swap_transfer_matches_roofline(self):
         costs = BatchCostModel(get_session())
-        link = get_session().costs.machine.interconnect
+        link = get_session().machine.interconnect
         direct = kv_swap_transfer_us(32, kv_token_bytes(DS3), DS3.n_layers,
                                      link)
         assert costs.swap_transfer_us(32) == pytest.approx(direct)
@@ -245,7 +245,7 @@ class TestPreemptionPricing:
         assert costs.kv_swap_bytes(32) == 32 * kv_token_bytes(DS3) * DS3.n_layers
 
     def test_swap_zero_tokens_free_positive_monotone(self):
-        link = get_session().costs.machine.interconnect
+        link = get_session().machine.interconnect
         assert kv_swap_transfer_us(0, 1024.0, 61, link) == 0.0
         a = kv_swap_transfer_us(16, 1024.0, 61, link)
         b = kv_swap_transfer_us(64, 1024.0, 61, link)
@@ -263,7 +263,7 @@ class TestPreemptionPricing:
         mechanism decision is made from."""
         from repro.hw.roofline import degraded_link
         costs = BatchCostModel(get_session())
-        link = get_session().costs.machine.interconnect
+        link = get_session().machine.interconnect
         slow = degraded_link(link, pcie_scale=0.05)
         assert (costs.swap_transfer_us(64, slow)
                 > 10 * costs.swap_transfer_us(64, link))

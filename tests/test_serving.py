@@ -1,15 +1,15 @@
-"""Tests for the serving layer: sessions, metrics, local server."""
+"""Tests for the serving layer: sessions, metrics, batch-1 serving."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.model import DS3, MoETransformer, tiny_config
+from repro.model import DS2, DS3, MoETransformer, tiny_config
 from repro.serving import (
+    BatchSchedulerConfig,
     ContinuousBatchingServer,
     GenerationRequest,
     InferenceSession,
-    LocalServer,
     RequestTiming,
     ServingStats,
     TimedRequest,
@@ -22,6 +22,12 @@ from repro.serving import (
 def session():
     model = MoETransformer(tiny_config("tiny-qw"))
     return InferenceSession(model, DS3)
+
+
+def batch1(session):
+    """The paper's local deployment: the engine at batch size 1."""
+    return ContinuousBatchingServer(session,
+                                    BatchSchedulerConfig(max_batch_size=1))
 
 
 class TestRequestTiming:
@@ -113,14 +119,43 @@ class TestSession:
     def test_cost_model_caches_buckets(self, session):
         req = GenerationRequest(prompt=np.array([1] * 16), max_new_tokens=1)
         session.generate(req)
-        cached = dict(session.costs._prefill_us)
+        cached = dict(session.costs._prefill)
+        assert 32 in cached
         session.generate(req)
-        assert session.costs._prefill_us == cached
+        assert session.costs._prefill == cached
+
+    def test_negative_n_deferred_rejected_at_construction(self):
+        model = MoETransformer(tiny_config("tiny-qw"))
+        with pytest.raises(ConfigError, match="n_deferred"):
+            InferenceSession(model, DS3, n_deferred=-1)
+
+    def test_n_deferred_checked_against_the_preset_top_k(self):
+        """The model (top_k=8) keeps 2 immediate experts, the DS2 preset
+        (top_k=6) none: pricing would fail, so construction does."""
+        model = MoETransformer(tiny_config("tiny-qw", top_k=8))
+        with pytest.raises(ConfigError, match="at least 2"):
+            InferenceSession(model, DS2, n_deferred=6)
 
 
-class TestLocalServer:
+class TestBatch1Price:
+    @pytest.mark.parametrize("n_deferred", [0, 3])
+    @pytest.mark.parametrize("prompt_len", [32, 100])
+    def test_generate_prices_like_the_batch1_engine(self, prompt_len,
+                                                    n_deferred):
+        """One batch-1 price: a lone request's first token lands exactly
+        at ``generate``'s prefill plus one decode step."""
+        model = MoETransformer(tiny_config("tiny-qw", top_k=6))
+        session = InferenceSession(model, DS3, n_deferred=n_deferred)
+        prompt = np.arange(prompt_len) % 60 + 1
+        req = GenerationRequest(prompt, max_new_tokens=4)
+        result = session.generate(req)
+        timing, = batch1(session).replay([TimedRequest(0.0, req)]).timings
+        assert result.prefill_us + result.per_token_us == timing.first_token_us
+
+
+class TestBatch1Server:
     def test_replay_fifo(self, session):
-        server = LocalServer(session)
+        server = batch1(session)
         workload = [
             TimedRequest(0.0, GenerationRequest(np.array([1, 2]),
                                                 max_new_tokens=3)),
@@ -134,18 +169,31 @@ class TestLocalServer:
 
     def test_queueing_under_load(self, session):
         """Arrivals faster than service accumulate queue delay."""
-        server = LocalServer(session)
+        server = batch1(session)
         reqs = [TimedRequest(float(i), GenerationRequest(np.array([1, 2]),
                                                          max_new_tokens=4))
                 for i in range(5)]
         stats = server.replay(reqs)
         delays = [t.queue_delay_us for t in stats.timings]
         assert delays[-1] > delays[0]
+        assert server.timeline.peak_batch_size == 1
 
     def test_empty_workload_rejected(self, session):
         with pytest.raises(ConfigError):
-            LocalServer(session).replay([])
+            batch1(session).replay([])
 
+    def test_summary_keys(self, session):
+        server = batch1(session)
+        wl = poisson_workload(4, 1e6, prompt_len=4, max_new_tokens=3,
+                              vocab_size=session.model.config.vocab_size)
+        stats = server.replay(wl)
+        summary = stats.summary()
+        for key in ("ttft_p50_ms", "ttft_p95_ms", "tpot_p50_ms",
+                    "queue_p95_ms", "tokens_per_s"):
+            assert key in summary
+
+
+class TestWorkloads:
     def test_poisson_workload_shape(self):
         wl = poisson_workload(10, 1000.0, prompt_len=8, max_new_tokens=4,
                               vocab_size=32, seed=1)
@@ -157,16 +205,6 @@ class TestLocalServer:
     def test_poisson_invalid(self):
         with pytest.raises(ConfigError):
             poisson_workload(0, 1.0, 1, 1, 10)
-
-    def test_summary_keys(self, session):
-        server = LocalServer(session)
-        wl = poisson_workload(4, 1e6, prompt_len=4, max_new_tokens=3,
-                              vocab_size=session.model.config.vocab_size)
-        stats = server.replay(wl)
-        summary = stats.summary()
-        for key in ("ttft_p50_ms", "ttft_p95_ms", "tpot_p50_ms",
-                    "queue_p95_ms", "tokens_per_s"):
-            assert key in summary
 
 
 class TestOutputLength:
@@ -183,8 +221,7 @@ class TestOutputLength:
         assert session.output_length(stop) == k + 1
         workload = [TimedRequest(0.0, stop),
                     TimedRequest(0.0, GenerationRequest(prompt, 8))]
-        for server in (LocalServer(session),
-                       ContinuousBatchingServer(session)):
+        for server in (batch1(session), ContinuousBatchingServer(session)):
             stats = server.replay(workload)
             assert sorted(t.generated_tokens for t in stats.timings) == [
                 k + 1, 8]
@@ -195,12 +232,12 @@ class TestOutputLength:
         workload = poisson_workload(
             6, 2e5, prompt_len=8, max_new_tokens=5,
             vocab_size=session.model.config.vocab_size, seed=3)
-        want = [LocalServer(session).replay(workload).summary(),
+        want = [batch1(session).replay(workload).summary(),
                 ContinuousBatchingServer(session).replay(workload).summary()]
 
         def no_forward(*args, **kwargs):
             raise AssertionError("functional forward pass ran")
         monkeypatch.setattr(session.model, "generate", no_forward)
-        got = [LocalServer(session).replay(workload).summary(),
+        got = [batch1(session).replay(workload).summary(),
                ContinuousBatchingServer(session).replay(workload).summary()]
         assert got == want

@@ -50,7 +50,7 @@ def _bucket(value, buckets):
 
 def _reference(mode, context_lens, chunk_tokens, cache_step, pert):
     """(price, layer works) composed straight from the lowerings."""
-    c = SESSION.costs
+    c = SESSION
     machine = c.machine
     decode_cfg = DecodeScheduleConfig(
         launch_mode=c.system.launch_mode,
