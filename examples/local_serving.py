@@ -12,7 +12,8 @@ Run:  python examples/local_serving.py
 import numpy as np
 
 from repro import DS3, MoETransformer, tiny_config
-from repro.bench.workloads import chat_workload_lengths, expected_tokens
+from repro.bench.workloads import (ChatRequestSpec, chat_workload_lengths,
+                                   expected_tokens)
 from repro.serving import (
     BatchSchedulerConfig,
     ContinuousBatchingServer,
@@ -37,7 +38,11 @@ def main() -> None:
     )
 
     # -- a chat workload, served one request at a time ----------------------
-    specs = chat_workload_lengths(n_requests=10, seed=4)
+    # Prompts are clipped to 512 and outputs to 12 tokens to keep the
+    # functional model's work small.
+    specs = [ChatRequestSpec(min(s.prompt_tokens, 512),
+                             min(s.generate_tokens, 12))
+             for s in chat_workload_lengths(n_requests=10, seed=4)]
     p_total, g_total = expected_tokens(specs)
     print(f"\nReplaying {len(specs)} chat requests "
           f"({p_total} prompt + {g_total} generated tokens)...")
@@ -50,8 +55,8 @@ def main() -> None:
             arrival_us=t,
             request=GenerationRequest(
                 prompt=rng.integers(1, model.config.vocab_size,
-                                    size=min(spec.prompt_tokens, 512)),
-                max_new_tokens=min(spec.generate_tokens, 12),
+                                    size=spec.prompt_tokens),
+                max_new_tokens=spec.generate_tokens,
             ),
         ))
     server = ContinuousBatchingServer(session,

@@ -18,7 +18,6 @@ from .engine import (
     batched_decode_works,
     decode_works,
     hybrid_chunk_works,
-    run_batched_decode,
     run_decode,
     run_prefill,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "MIN_IMMEDIATE_EXPERTS", "DeferralConfig", "DeferralEngine",
     "split_routing",
     "KTRANSFORMERS", "ThroughputResult", "batched_decode_works",
-    "decode_works", "hybrid_chunk_works", "run_batched_decode",
-    "run_decode", "run_prefill",
+    "decode_works", "hybrid_chunk_works", "run_decode", "run_prefill",
     "SkippingConfig", "SkippingEngine",
 ]

@@ -244,44 +244,6 @@ def hybrid_chunk_works(
     return works, summary
 
 
-def run_batched_decode(
-    system: SystemProfile,
-    preset: ModelPreset,
-    machine: MachineSpec,
-    dtype: DType = BF16,
-    n_tokens: int = 8,
-    context_lens: Sequence[int] = (32,),
-    n_deferred: int | None = None,
-    ari_threshold: int | None = None,
-    backend: "str | KernelBackend | None" = None,
-) -> tuple[ThroughputResult, BatchedDispatchSummary]:
-    """Simulate ``n_tokens`` continuous-batching decode iterations.
-
-    Each iteration decodes one token for every request in
-    ``context_lens`` (one entry per request, giving its context length).
-    ``backend`` selects a registry :class:`KernelBackend`.  Reported
-    throughput counts ``n_tokens * len(context_lens)`` generated tokens;
-    the returned summary records the per-expert ARI dispatch.
-    """
-    backend = resolve_backend(backend)
-    if backend is not None:
-        machine = backend.apply_launch(machine)
-    works, summary = batched_decode_works(
-        system, preset, machine, dtype, context_lens,
-        ari_threshold=ari_threshold, backend=backend,
-    )
-    config = DecodeScheduleConfig(
-        launch_mode=system.launch_mode,
-        overlap_cpu_gpu=system.overlap_cpu_gpu,
-        top_k=preset.top_k,
-        n_deferred=n_deferred or 0,
-    )
-    sim = simulate_decode(works, config, machine, n_tokens)
-    result = _result(system, preset, "decode",
-                     n_tokens * len(context_lens), sim)
-    return result, summary
-
-
 def run_prefill(
     system: SystemProfile,
     preset: ModelPreset,

@@ -30,19 +30,9 @@ def TFLOPS(value: float) -> float:
     return value * 1e12
 
 
-def GFLOPS(value: float) -> float:
-    """Compute: gigaFLOP/s -> FLOP/s."""
-    return value * 1e9
-
-
 def ms(value: float) -> float:
     """Time: milliseconds -> microseconds."""
     return value * 1e3
-
-
-def us(value: float) -> float:
-    """Time: microseconds (identity, for readability)."""
-    return value
 
 
 def seconds(value: float) -> float:

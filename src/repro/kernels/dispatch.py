@@ -48,13 +48,6 @@ class HybridKernel(CPUGemmKernel):
         self._throughput = throughput_kernel or AMXKernel()
         self._latency = latency_kernel or AVX512Kernel()
 
-    @property
-    def profile(self):  # type: ignore[override]
-        # The hybrid kernel has no single profile; expose the throughput
-        # lane's for introspection.  Cost and run always go through
-        # select().
-        return self._throughput.profile
-
     def select(self, tokens: int) -> CPUGemmKernel:
         """The kernel that will execute a GEMM over ``tokens`` rows."""
         return (self._latency if tokens <= self.ari_threshold

@@ -2,7 +2,6 @@
 
 from .attention import MLAAttention, MultiHeadAttention, rope
 from .kvcache import KVCache, LatentKVCache
-from .kv_quant import QuantizedLatentKVCache
 from .paged import DEFAULT_PAGE_TOKENS, Page, PagedKVCache, PagedKVPool
 from .modules import Embedding, Linear, Module, RMSNorm
 from .moe_layer import DenseFFN, ExpertModule, ModuleList, MoEBlock
@@ -12,7 +11,7 @@ from .transformer import ModelConfig, MoETransformer, TransformerLayer
 __all__ = [
     "MLAAttention", "MultiHeadAttention", "rope",
     "KVCache", "LatentKVCache", "DEFAULT_PAGE_TOKENS", "Page", "PagedKVCache",
-    "PagedKVPool", "QuantizedLatentKVCache",
+    "PagedKVPool",
     "Embedding", "Linear", "Module", "RMSNorm",
     "DenseFFN", "ExpertModule", "ModuleList", "MoEBlock",
     "DS2", "DS3", "PAPER_MODELS", "QW2", "ModelPreset", "preset", "tiny_config",

@@ -92,6 +92,3 @@ class LatentKVCache:
 
     def latents(self) -> np.ndarray:
         return self._latent[:self._len]
-
-    def reset(self) -> None:
-        self._len = 0

@@ -58,10 +58,6 @@ class ModelConfig:
         if self.first_dense_layers > 0 and self.dense_intermediate <= 0:
             raise ConfigError("dense layers require dense_intermediate")
 
-    @property
-    def n_moe_layers(self) -> int:
-        return self.n_layers - self.first_dense_layers
-
     def router_config(self) -> RouterConfig:
         return RouterConfig(
             n_experts=self.n_experts,

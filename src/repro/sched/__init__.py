@@ -12,7 +12,6 @@ from .decode import (
     DecodeScheduleConfig,
     batched_step_time_us,
     build_decode_step,
-    hybrid_step_time_us,
     simulate_decode,
 )
 from .kv_offload import (
@@ -24,13 +23,11 @@ from .kv_offload import (
 )
 from .multi_gpu import (
     PipelineConfig,
-    interstage_transfer_us,
     simulate_pipelined_decode,
     simulate_pipelined_prefill,
     stage_boundary_bytes,
     stage_works,
     staged_interval_us,
-    staged_step_time_us,
     vram_per_stage_bytes,
 )
 from .prefill import build_prefill_chunk, simulate_prefill
@@ -47,13 +44,13 @@ __all__ = [
     "GRAPH_LAUNCH_US", "GpuExecutor", "GraphCache", "GraphCacheConfig",
     "GraphLookup", "LaunchMode",
     "DecodeScheduleConfig", "batched_step_time_us", "build_decode_step",
-    "hybrid_step_time_us", "simulate_decode",
+    "simulate_decode",
     "build_prefill_chunk", "simulate_prefill",
     "KVOffloadCost", "gpu_kv_budget_tokens", "kv_bytes_per_token_layer",
     "kv_cache_total_bytes", "kv_offload_step_cost",
-    "PipelineConfig", "interstage_transfer_us", "simulate_pipelined_decode",
+    "PipelineConfig", "simulate_pipelined_decode",
     "simulate_pipelined_prefill", "stage_boundary_bytes", "stage_works",
-    "staged_interval_us", "staged_step_time_us", "vram_per_stage_bytes",
+    "staged_interval_us", "vram_per_stage_bytes",
     "DecodeLayerWork", "ExpertGemmDispatch", "PrefillLayerWork",
     "decode_layer_work", "prefill_layer_work", "scheduling_penalty",
 ]

@@ -26,8 +26,7 @@ from ..hw.event_sim import CompiledGraph, DurationScaling, Simulator
 from ..hw.roofline import pcie_transfer_time_us
 from ..hw.spec import MachineSpec, paper_testbed
 from .cuda_graph import GpuExecutor, LaunchMode
-from .workload import (DecodeLayerWork, HybridChunkWork, chunk_only_work,
-                       merge_hybrid_work)
+from .workload import DecodeLayerWork
 
 MERGE_KERNEL_US = 2.0  # elementwise merge of CPU and GPU activations
 
@@ -301,41 +300,6 @@ def _retime_decode_chain(
     return (*graph.retime(step.scaled_durations() * n_steps), heads)
 
 
-def hybrid_step_time_us(
-    decode_works: list[DecodeLayerWork],
-    chunk_works: list[HybridChunkWork],
-    config: DecodeScheduleConfig,
-    machine: MachineSpec,
-    n_steps: int = 4,
-    warmup_steps: int = 2,
-    perturb: PerturbHook = None,
-) -> float:
-    """Steady-state cost of one mixed (decode + prefill-chunk) iteration.
-
-    Merges each layer's decode work with the chunk's *marginal* work
-    (:func:`repro.sched.workload.merge_hybrid_work`) and prices the merged
-    iteration through the same task-graph builder as a pure decode step,
-    so CUDA-graph launch amortization, CPU/GPU overlap, and fault
-    perturbation all apply to the combined work.  ``decode_works`` may be
-    empty (chunk-only iteration: nothing decodable yet); ``decode_works``
-    may also be cache-repriced (:func:`cache_aware_step_time_us` inputs)
-    since the chunk's marginal rides on top of the decode batch's bill.
-    """
-    if not chunk_works:
-        raise SchedulingError("chunk_works must not be empty")
-    if decode_works:
-        if len(decode_works) != len(chunk_works):
-            raise SchedulingError(
-                f"decode/chunk layer mismatch: {len(decode_works)} != "
-                f"{len(chunk_works)}")
-        works = [merge_hybrid_work(d, c)
-                 for d, c in zip(decode_works, chunk_works)]
-    else:
-        works = [chunk_only_work(c) for c in chunk_works]
-    return batched_step_time_us(works, config, machine, n_steps=n_steps,
-                                warmup_steps=warmup_steps, perturb=perturb)
-
-
 def kv_swap_transfer_us(n_tokens: int, token_bytes: float, n_layers: int,
                         link) -> float:
     """One-way PCIe cost of moving a request's KV cache between GPU and host.
@@ -356,28 +320,3 @@ def kv_swap_transfer_us(n_tokens: int, token_bytes: float, n_layers: int,
     if n_tokens == 0:
         return 0.0
     return pcie_transfer_time_us(n_tokens * token_bytes * n_layers, link)
-
-
-def cache_aware_step_time_us(
-    works: list[DecodeLayerWork],
-    config: DecodeScheduleConfig,
-    machine: MachineSpec,
-    transfer_stall_us: float = 0.0,
-    n_steps: int = 4,
-    warmup_steps: int = 2,
-    perturb: PerturbHook = None,
-) -> float:
-    """Batched step cost under an expert cache, plus prefetch stall.
-
-    ``works`` should already be repriced by
-    :func:`repro.sched.workload.apply_expert_cache` (cache hits as GPU
-    expert work, misses on the CPU); ``transfer_stall_us`` is the
-    non-overlapped remainder of this iteration's expert-weight uploads
-    (zero when prefetch fully hides behind the attention phase).
-    """
-    if transfer_stall_us < 0:
-        raise SchedulingError("transfer_stall_us must be >= 0")
-    return batched_step_time_us(works, config, machine,
-                                n_steps=n_steps,
-                                warmup_steps=warmup_steps,
-                                perturb=perturb) + transfer_stall_us

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from ..errors import SchedulingError
 from ..hw.event_sim import Simulator
 from ..hw.roofline import pcie_transfer_time_us
-from ..hw.spec import InterconnectSpec, MachineSpec
+from ..hw.spec import MachineSpec
 from .decode import DecodeScheduleConfig, batched_step_time_us
 from .workload import DecodeLayerWork, PrefillLayerWork
 
@@ -231,15 +231,6 @@ def stage_boundary_bytes(
     )
 
 
-def interstage_transfer_us(
-    works: list[DecodeLayerWork], config: PipelineConfig,
-    link: InterconnectSpec,
-) -> float:
-    """Total PCIe time of the activation handoffs at stage boundaries."""
-    return sum(pcie_transfer_time_us(b, link)
-               for b in stage_boundary_bytes(works, config))
-
-
 def staged_interval_us(
     works: list[DecodeLayerWork],
     schedule_config: DecodeScheduleConfig,
@@ -266,21 +257,3 @@ def staged_interval_us(
                   for s in stages)
     cpu_floor = sum(w.cpu_routed_us for w in works)
     return min(serial, max(slowest, cpu_floor))
-
-
-def staged_step_time_us(
-    works: list[DecodeLayerWork],
-    schedule_config: DecodeScheduleConfig,
-    machine: MachineSpec,
-    config: PipelineConfig,
-) -> float:
-    """Steady-state cost of one decode iteration across pipeline stages.
-
-    The pipelined interval plus the stage-boundary activation handoffs
-    over PCIe -- the handoff legs are latency the interval cannot hide,
-    so a CPU-bound batch prices slightly *worse* than single-GPU while a
-    GPU-bound one divides across stages.  With one stage this is exactly
-    :func:`repro.sched.decode.batched_step_time_us` over the same works.
-    """
-    return (staged_interval_us(works, schedule_config, machine, config)
-            + interstage_transfer_us(works, config, machine.interconnect))

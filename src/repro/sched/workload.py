@@ -359,9 +359,9 @@ def apply_expert_cache(
     linearly with routed tokens -- per-expert GEMMs sum) and are instead
     priced on the GPU roofline, streaming the ``n_hit_experts`` resident
     experts' weights from HBM.  Misses keep the CPU (AMX/AVX-512) price.
-    Transfer stall for non-overlapped prefetches is added by the
-    scheduler (:func:`repro.sched.decode.cache_aware_step_time_us`), not
-    here.
+    Transfer stall for non-overlapped prefetches is added by the step
+    pricer (:meth:`repro.serving.pricing.BatchCostModel.decode_step_us`),
+    not here.
 
     ``dispatch`` selects how the hit-expert GEMMs reach the GPU.  ``None``
     (legacy) keeps the original single-blob pricing: one roofline estimate

@@ -77,12 +77,6 @@ class GenerationResult:
     def total_us(self) -> float:
         return self.prefill_us + self.per_token_us * self.n_tokens
 
-    @property
-    def decode_tokens_per_s(self) -> float:
-        if self.per_token_us <= 0:
-            return 0.0
-        return 1e6 / self.per_token_us
-
 
 class InferenceSession:
     """A ready-to-serve deployment of a functional model."""
@@ -122,13 +116,7 @@ class InferenceSession:
     ) -> GenerationResult:
         """Serve one request; ``on_token(token, simulated_time_us)`` streams."""
         prompt = np.atleast_1d(np.asarray(request.prompt))
-        tokens = self._engine.generate(
-            prompt,
-            max_new_tokens=request.max_new_tokens,
-            greedy=request.greedy,
-            temperature=request.temperature,
-            stop_token=request.stop_token,
-        )
+        tokens = self._tokens(prompt, request)
         prefill_us = self.costs.batched_prefill_us(len(prompt))
         per_token = self.costs.decode_step_us([len(prompt)])
         if on_token is not None:
@@ -148,4 +136,17 @@ class InferenceSession:
         """
         if request.stop_token is None:
             return request.max_new_tokens
-        return self.generate(request).n_tokens
+        prompt = np.atleast_1d(np.asarray(request.prompt))
+        return len(self._tokens(prompt, request))
+
+    def _tokens(self, prompt: np.ndarray,
+                request: GenerationRequest) -> np.ndarray:
+        """The tokens the functional model emits for ``request``; the
+        model runs, nothing is priced."""
+        return self._engine.generate(
+            prompt,
+            max_new_tokens=request.max_new_tokens,
+            greedy=request.greedy,
+            temperature=request.temperature,
+            stop_token=request.stop_token,
+        )

@@ -38,10 +38,6 @@ class QuantizedTensor:
     dtype: DType
     group_size: int
 
-    @property
-    def bits(self) -> int:
-        return self.dtype.bits
-
     def nbytes(self) -> int:
         return int(self.payload.nbytes + self.scales.nbytes)
 

@@ -59,8 +59,3 @@ def tiles_in_matrix(rows: int, cols: int, dt: DType) -> int:
 def tile_bytes() -> int:
     """Storage footprint of one tile (payload only)."""
     return TILE_ROWS * TILE_ROW_BYTES
-
-
-def is_cache_line_aligned(offset_bytes: int) -> bool:
-    """True if a byte offset sits on a 64-byte cache-line boundary."""
-    return offset_bytes % CACHE_LINE_BYTES == 0

@@ -89,9 +89,6 @@ class TrainableMoETransformer:
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
 
-    def n_parameters(self) -> int:
-        return sum(int(p.data.size) for p in self.parameters())
-
     def export_state_dict(self) -> dict[str, np.ndarray]:
         """Weights keyed exactly like ``MoETransformer.state_dict()``."""
         return {name: p.data.copy() for name, p in self.params.items()}

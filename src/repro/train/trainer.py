@@ -26,8 +26,6 @@ class TrainConfig:
     # spreads gate mass over the selected experts like load-balanced
     # production training does.
     router_entropy_coef: float = 0.0
-    # Optional LR schedule (see repro.train.schedule); None keeps `lr`.
-    lr_schedule: object | None = None
 
 
 @dataclass
@@ -73,8 +71,6 @@ def train(model: TrainableMoETransformer, examples: list[Example],
     rng = np.random.default_rng(config.seed)
     report = TrainReport()
     for step in range(config.steps):
-        if config.lr_schedule is not None:
-            opt.lr = config.lr_schedule.lr_at(step, config.steps)
         batch_idx = rng.integers(0, len(examples), size=config.batch_size)
         opt.zero_grad()
         total = 0.0

@@ -9,7 +9,7 @@ from repro.faults import FaultInjector, canonical_chaos_plan
 from repro.hw.spec import paper_testbed
 from repro.kernels import DEFAULT_ARI_THRESHOLD
 from repro.model import DS3, QW2, MoETransformer, tiny_config
-from repro.sched.decode import DecodeScheduleConfig, hybrid_step_time_us
+from repro.sched.decode import DecodeScheduleConfig, batched_step_time_us
 from repro.sched.workload import (
     batched_expert_counts,
     chunk_only_work,
@@ -139,29 +139,13 @@ class TestHybridChunkPricing:
             launch_mode=KTRANSFORMERS.launch_mode,
             overlap_cpu_gpu=KTRANSFORMERS.overlap_cpu_gpu,
             top_k=QW2.top_k)
-        decode = hybrid_step_time_us([], chunk_works, config, machine)
-        hybrid = hybrid_step_time_us(decode_works, chunk_works, config,
-                                     machine)
-        from repro.sched.decode import batched_step_time_us
+        alone = batched_step_time_us(
+            [chunk_only_work(c) for c in chunk_works], config, machine)
+        hybrid = batched_step_time_us(
+            [merge_hybrid_work(d, c)
+             for d, c in zip(decode_works, chunk_works)], config, machine)
         pure = batched_step_time_us(decode_works, config, machine)
-        assert hybrid > pure
-        assert hybrid < pure + decode
-
-    def test_hybrid_step_time_validation(self, machine):
-        config = DecodeScheduleConfig(
-            launch_mode=KTRANSFORMERS.launch_mode,
-            overlap_cpu_gpu=KTRANSFORMERS.overlap_cpu_gpu,
-            top_k=QW2.top_k)
-        from repro.errors import SchedulingError
-        with pytest.raises(SchedulingError):
-            hybrid_step_time_us([], [], config, machine)
-        decode_works, _ = batched_decode_works(
-            KTRANSFORMERS, QW2, machine, BF16, context_lens=[64])
-        chunk_works, _ = hybrid_chunk_works(
-            KTRANSFORMERS, QW2, machine, BF16, chunk_tokens=16, batch_size=1)
-        with pytest.raises(SchedulingError):
-            hybrid_step_time_us(decode_works[:-1], chunk_works, config,
-                                machine)
+        assert pure < hybrid < pure + alone
 
 
 class TestBatchCostModelHybrid:
@@ -169,7 +153,8 @@ class TestBatchCostModelHybrid:
 
     def test_matches_sched_level_function(self, session):
         """BatchCostModel.decode_step_us with a chunk is bit-identical to
-        pricing the merged works through sched.decode.hybrid_step_time_us."""
+        merging each layer's decode and chunk works and pricing the merged
+        works through sched.decode.batched_step_time_us."""
         costs = BatchCostModel(session)
         got = costs.decode_step_us([64] * 8, chunk_tokens=32)
         c = session
@@ -178,9 +163,10 @@ class TestBatchCostModelHybrid:
         chunk_works, _ = hybrid_chunk_works(
             c.system, c.preset, c.machine, c.dtype, chunk_tokens=32,
             batch_size=8)
-        want = hybrid_step_time_us(
-            decode_works, chunk_works, costs._hybrid_schedule_config(),
-            c.machine)
+        merged = [merge_hybrid_work(d, w)
+                  for d, w in zip(decode_works, chunk_works)]
+        want = batched_step_time_us(
+            merged, costs._hybrid_schedule_config(), c.machine)
         assert got == want
 
     def test_memoized_by_buckets(self, session):
@@ -193,12 +179,15 @@ class TestBatchCostModelHybrid:
         assert len(costs._prices) == 2
 
     def test_chunk_only_supported(self, session):
+        """A chunk-only iteration prices; piggybacking the chunk on a
+        decode batch costs more than the decode step alone but less than
+        running the chunk as its own step."""
         costs = BatchCostModel(session)
         alone = costs.decode_step_us([], chunk_tokens=64)
         assert alone > 0
         hybrid = costs.decode_step_us([64] * 8, chunk_tokens=64)
         decode = costs.decode_step_us([64] * 8)
-        assert hybrid > decode
+        assert decode < hybrid < decode + alone
 
     def test_chunk_tokens_must_be_positive(self, session):
         costs = BatchCostModel(session)

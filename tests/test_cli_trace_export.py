@@ -68,6 +68,10 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "Deferral" in out
 
+    def test_calibrate(self, capsys):
+        assert main(["calibrate"]) == 0
+        assert "7/7 anchors within tolerance" in capsys.readouterr().out
+
     def test_trace_export(self, tmp_path, capsys):
         out_file = tmp_path / "t.json"
         assert main(["trace", "--model", "qw2", "--tokens", "1",

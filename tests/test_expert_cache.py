@@ -16,7 +16,6 @@ from repro.moe import (
     plan_gpu_residency,
     route,
 )
-from repro.sched.decode import cache_aware_step_time_us
 from repro.sched.workload import MIN_CPU_DISPATCH_US, apply_expert_cache
 from repro.serving import (
     BatchCostModel,
@@ -273,16 +272,6 @@ class TestCacheAwarePricing:
                 transfer_us=0.0, stall_us=0.0))
         assert costs.decode_step_us([64] * 8, cache_step=res) == pytest.approx(
             base + 123.0)
-
-    def test_cache_aware_step_time_validates_stall(self, session):
-        from repro.errors import SchedulingError
-
-        costs = BatchCostModel(session)
-        costs.decode_step_us([64])
-        works = costs._works[StepShape(1, 64)]
-        with pytest.raises(SchedulingError):
-            cache_aware_step_time_us(works, costs._schedule_config(),
-                                     MACHINE, transfer_stall_us=-1.0)
 
 
 class TestServingIntegration:

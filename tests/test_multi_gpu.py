@@ -5,8 +5,7 @@
 assignment; this file locks down the *steady-state interval* model the
 continuous-batching scheduler prices decode iterations with
 (:func:`stage_works` / :func:`stage_boundary_bytes` /
-:func:`interstage_transfer_us` / :func:`staged_interval_us` /
-:func:`staged_step_time_us`), plus the :class:`BatchCostModel` pipeline
+:func:`staged_interval_us`), plus the :class:`BatchCostModel` pipeline
 plumbing built on top of it.
 """
 
@@ -21,11 +20,9 @@ from repro.sched import (
     LaunchMode,
     PipelineConfig,
     batched_step_time_us,
-    interstage_transfer_us,
     stage_boundary_bytes,
     stage_works,
     staged_interval_us,
-    staged_step_time_us,
 )
 from repro.sched.workload import DecodeLayerWork
 from repro.serving import BatchCostModel, InferenceSession, PipelineStats
@@ -75,18 +72,6 @@ class TestStageSplit:
 
     def test_single_stage_has_no_boundaries(self):
         assert stage_boundary_bytes(_works(), PipelineConfig(1)) == ()
-        assert interstage_transfer_us(
-            _works(), PipelineConfig(1), MACHINE.interconnect) == 0.0
-
-    def test_transfer_pricing_matches_roofline(self):
-        works = _works(8, xfer=256e3)
-        cfg = PipelineConfig(4)
-        expected = sum(
-            pcie_transfer_time_us(b, MACHINE.interconnect)
-            for b in stage_boundary_bytes(works, cfg))
-        assert interstage_transfer_us(
-            works, cfg, MACHINE.interconnect) == expected
-        assert expected > 0.0
 
 
 class TestStagedInterval:
@@ -94,8 +79,6 @@ class TestStagedInterval:
         works = _works()
         serial = batched_step_time_us(works, SCHED, MACHINE)
         assert staged_interval_us(
-            works, SCHED, MACHINE, PipelineConfig(1)) == serial
-        assert staged_step_time_us(
             works, SCHED, MACHINE, PipelineConfig(1)) == serial
 
     def test_single_nonempty_stage_collapses_to_serial(self):
@@ -133,14 +116,6 @@ class TestStagedInterval:
         got = staged_interval_us(works, SCHED, MACHINE, cfg)
         assert got >= floor
         assert got <= batched_step_time_us(works, SCHED, MACHINE)
-
-    def test_step_time_is_interval_plus_handoffs(self):
-        works = _works()
-        for n_stages in (2, 4):
-            cfg = PipelineConfig(n_stages)
-            assert staged_step_time_us(works, SCHED, MACHINE, cfg) == (
-                staged_interval_us(works, SCHED, MACHINE, cfg)
-                + interstage_transfer_us(works, cfg, MACHINE.interconnect))
 
     def test_interval_closed_form(self):
         # min(serial, max(slowest stage, shared-CPU floor)), exactly.
@@ -185,16 +160,21 @@ class TestBatchCostModelPipeline:
 
     def test_staged_decode_matches_direct_stage_pricing(self, session):
         # The ratio decomposition must be exact, not approximate: pricing
-        # through pipeline_factors equals pricing the staged step
-        # directly from the same per-layer works.
-        model = BatchCostModel(session, pipeline_stages=2)
+        # through pipeline_factors equals the pipelined interval plus the
+        # stage-boundary handoffs, priced directly from the same
+        # per-layer works.
         ctx = [64] * 4
-        via_ratio = model.staged_decode_step_us(ctx)
-        model.decode_step_us(ctx)
-        direct = staged_step_time_us(
-            model._works[model.step_shape(ctx)], model._schedule_config(),
-            session.machine, PipelineConfig(2))
-        assert via_ratio == direct
+        link = session.machine.interconnect
+        for n_stages in (2, 4):
+            model = BatchCostModel(session, pipeline_stages=n_stages)
+            via_ratio = model.staged_decode_step_us(ctx)
+            works = model._works[model.step_shape(ctx)]
+            cfg = PipelineConfig(n_stages)
+            direct = (staged_interval_us(works, model._schedule_config(),
+                                         session.machine, cfg)
+                      + sum(pcie_transfer_time_us(b, link)
+                            for b in stage_boundary_bytes(works, cfg)))
+            assert via_ratio == direct
 
 
 class TestPipelineStats:

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core import KTRANSFORMERS, run_decode
 from repro.errors import ConfigError
-from repro.model import DS2, DS3, MoETransformer, tiny_config
+from repro.hw import paper_testbed
+from repro.model import DS2, DS3, QW2, MoETransformer, tiny_config
 from repro.serving import (
     BatchSchedulerConfig,
     ContinuousBatchingServer,
@@ -152,6 +154,22 @@ class TestBatch1Price:
         timing, = batch1(session).replay([TimedRequest(0.0, req)]).timings
         assert result.prefill_us + result.per_token_us == timing.first_token_us
 
+    @pytest.mark.parametrize("preset", [DS3, DS2, QW2], ids=lambda p: p.name)
+    @pytest.mark.parametrize("deferral", [False, True])
+    def test_decode_step_matches_fig12(self, preset, deferral):
+        """Batch-1 serving and the Fig. 12 decode path share one price:
+        a 32-token-context serving step is the paper-path decode
+        throughput to within 0.1%, with Expert Deferral off and at the
+        paper's per-model deferral count."""
+        nd = preset.deferred_experts_bf16 if deferral else 0
+        session = InferenceSession(
+            MoETransformer(tiny_config("tiny-qw", top_k=6)), preset,
+            n_deferred=nd)
+        serving = 1e6 / session.costs.decode_step_us([32])
+        paper = run_decode(KTRANSFORMERS, preset, paper_testbed("a100"),
+                           n_deferred=nd).tokens_per_s
+        assert serving == pytest.approx(paper, rel=1e-3)
+
 
 class TestBatch1Server:
     def test_replay_fifo(self, session):
@@ -241,3 +259,13 @@ class TestOutputLength:
         got = [batch1(session).replay(workload).summary(),
                ContinuousBatchingServer(session).replay(workload).summary()]
         assert got == want
+
+    def test_stop_token_length_prices_nothing(self):
+        """Finding where a stop token lands runs the functional model
+        only: no prefill pass or decode step is priced and memoized."""
+        session = InferenceSession(MoETransformer(tiny_config("tiny-qw")),
+                                   DS3)
+        n = session.output_length(
+            GenerationRequest(np.array([3, 1, 4]), 8, stop_token=5))
+        assert 1 <= n <= 8
+        assert not session.costs._prices and not session.costs._prefill
