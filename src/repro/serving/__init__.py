@@ -28,15 +28,12 @@ from .metrics import (
     BatchTimeline,
     CachePoint,
     ExpertCacheTimeline,
-    FaultStats,
     GraphStats,
     PipelineStats,
-    PreemptionStats,
     RequestTiming,
     RollingWindow,
     ServingSLO,
     ServingStats,
-    SessionStats,
     ShedRecord,
     TimelinePoint,
     percentile,
@@ -47,10 +44,16 @@ from .prefix_cache import (
     MatchProbe,
     PrefixCacheConfig,
     RadixPrefixCache,
+    SessionStats,
 )
 from .pricing import BatchCostModel, BatchSchedulerConfig, StepShape
-from .priority import Priority, PriorityConfig
-from .resilience import DegradationTracker, ResilienceConfig, RetryState
+from .priority import PreemptionStats, Priority, PriorityConfig
+from .resilience import (
+    DegradationTracker,
+    FaultStats,
+    ResilienceConfig,
+    RetryState,
+)
 from .session import GenerationRequest, GenerationResult, InferenceSession
 from .traffic import (
     TimedRequest,

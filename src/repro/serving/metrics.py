@@ -9,7 +9,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..errors import ConfigError
-from .priority import PRIORITY_NAMES, Priority
+from .prefix_cache import SessionStats
+from .priority import PRIORITY_NAMES, PreemptionStats, Priority
+from .resilience import FaultStats
 
 if TYPE_CHECKING:   # pragma: no cover - import cycle guard (controller
     # imports metrics for ServingSLO; the stats slot only needs the name)
@@ -352,105 +354,6 @@ class ExpertCacheTimeline:
 
 
 @dataclass
-class FaultStats:
-    """Fault, retry, shedding, and degradation counters of one serving run.
-
-    Attached to :class:`ServingStats` by the continuous-batching server
-    when a fault injector or a resilience policy is active; the
-    aggregate view (fault counters, retry histogram, shed/degraded
-    counts, recovery times) lands in :meth:`ServingStats.summary` via
-    :meth:`summary`.
-    """
-
-    upload_failures: int = 0
-    retries_attempted: int = 0
-    retries_succeeded: int = 0
-    retries_abandoned: int = 0
-    retry_attempt_histogram: dict[int, int] = field(default_factory=dict)
-    shed_requests: int = 0
-    timed_out_requests: int = 0
-    degraded_entries: int = 0
-    degraded_iterations: int = 0
-    recovery_times_us: list[float] = field(default_factory=list)
-    fault_stall_us: float = 0.0
-
-    def record_retry(self, attempt: int) -> None:
-        """Count one retry attempt into the per-attempt histogram."""
-        self.retries_attempted += 1
-        self.retry_attempt_histogram[attempt] = (
-            self.retry_attempt_histogram.get(attempt, 0) + 1)
-
-    @property
-    def mean_recovery_us(self) -> float:
-        """Mean time from entering degraded mode back to normal operation."""
-        if not self.recovery_times_us:
-            return 0.0
-        return sum(self.recovery_times_us) / len(self.recovery_times_us)
-
-    def summary(self) -> dict[str, float]:
-        """Flat ``fault_*`` counters merged into ``ServingStats.summary()``."""
-        out = {
-            "fault_upload_failures": float(self.upload_failures),
-            "fault_retries_attempted": float(self.retries_attempted),
-            "fault_retries_succeeded": float(self.retries_succeeded),
-            "fault_retries_abandoned": float(self.retries_abandoned),
-            "fault_shed_requests": float(self.shed_requests),
-            "fault_timed_out_requests": float(self.timed_out_requests),
-            "fault_degraded_entries": float(self.degraded_entries),
-            "fault_degraded_iterations": float(self.degraded_iterations),
-            "fault_recoveries": float(len(self.recovery_times_us)),
-            "fault_mean_recovery_ms": self.mean_recovery_us / 1e3,
-            "fault_stall_ms": self.fault_stall_us / 1e3,
-        }
-        for attempt in sorted(self.retry_attempt_histogram):
-            out[f"fault_retry_attempt_{attempt}"] = float(
-                self.retry_attempt_histogram[attempt])
-        return out
-
-
-@dataclass
-class PreemptionStats:
-    """Preemption, swap/recompute, and resume counters of one serving run.
-
-    Attached to :class:`ServingStats` by the continuous-batching server
-    when a :class:`~repro.serving.priority.PriorityConfig` is active.
-    ``swap_stall_us`` is the total serving-clock time spent moving KV
-    pages over PCIe (swap-out plus swap-in, on the possibly degraded
-    link); ``recompute_tokens`` counts context tokens discarded by the
-    recompute mechanism (each re-enters the prefill pipeline on resume).
-    """
-
-    preemptions: int = 0
-    swaps: int = 0
-    recomputes: int = 0
-    resumes: int = 0
-    swap_out_bytes: float = 0.0
-    swap_in_bytes: float = 0.0
-    swap_stall_us: float = 0.0
-    recompute_tokens: int = 0
-    shed_while_preempted: int = 0
-
-    def summary(self) -> dict[str, float]:
-        """Flat ``preempt_*`` counters merged into ``ServingStats.summary()``.
-
-        Merged only when at least one preemption fired: an *inert*
-        priority config (single class, or preemption never triggered)
-        must leave the summary bit-identical to the FIFO scheduler's.
-        """
-        return {
-            "preempt_total": float(self.preemptions),
-            "preempt_swaps": float(self.swaps),
-            "preempt_recomputes": float(self.recomputes),
-            "preempt_resumes": float(self.resumes),
-            "preempt_swap_out_mb": self.swap_out_bytes / 1e6,
-            "preempt_swap_in_mb": self.swap_in_bytes / 1e6,
-            "preempt_swap_stall_ms": self.swap_stall_us / 1e3,
-            "preempt_recompute_tokens": float(self.recompute_tokens),
-            "preempt_shed_while_preempted": float(self.shed_while_preempted),
-        }
-
-
-@dataclass
 class GraphStats:
     """CUDA-graph cache and grouped-GEMM dispatch counters of one run.
 
@@ -531,69 +434,6 @@ class PipelineStats:
         }
 
 
-@dataclass
-class SessionStats:
-    """Prefix-cache and KV-tier counters of one serving run.
-
-    Attached to :class:`ServingStats` by the continuous-batching server
-    when a :class:`~repro.serving.prefix_cache.PrefixCacheConfig` is
-    active; the flat view lands in :meth:`ServingStats.summary` via
-    :meth:`summary` (``prefix_*`` keys for radix-cache reuse,
-    ``tier_*`` keys for the host-DRAM layer).
-
-    ``prefill_tokens_avoided`` counts prompt tokens served as cached
-    page references instead of prefill work; ``swap_*_bytes`` price the
-    park/unpark traffic (swap-out runs off the critical path, so only
-    ``tier_swap_in_stall_ms`` ever reaches the serving clock);
-    ``prefetch_hits`` counts unparks whose ahead-of-turn transfer
-    finished before the turn arrived (zero stall).
-    """
-
-    prefix_hits: int = 0
-    prefix_misses: int = 0
-    prompt_tokens_total: int = 0
-    prefill_tokens_avoided: int = 0
-    inserted_tokens: int = 0
-    evicted_tokens: int = 0
-    parked_tokens: int = 0
-    unparked_tokens: int = 0
-    dropped_host_tokens: int = 0
-    swap_out_bytes: float = 0.0
-    swap_in_bytes: float = 0.0
-    swap_in_stall_us: float = 0.0
-    prefetch_hits: int = 0
-    peak_host_tokens: int = 0
-    peak_gpu_cached_tokens: int = 0
-
-    @property
-    def reuse_fraction(self) -> float:
-        """Fraction of submitted prompt tokens served from the cache."""
-        if self.prompt_tokens_total == 0:
-            return 0.0
-        return self.prefill_tokens_avoided / self.prompt_tokens_total
-
-    def summary(self) -> dict[str, float]:
-        """Flat ``prefix_*``/``tier_*`` counters for the summary."""
-        return {
-            "prefix_hits": float(self.prefix_hits),
-            "prefix_misses": float(self.prefix_misses),
-            "prefix_prompt_tokens": float(self.prompt_tokens_total),
-            "prefix_tokens_avoided": float(self.prefill_tokens_avoided),
-            "prefix_reuse_fraction": self.reuse_fraction,
-            "prefix_inserted_tokens": float(self.inserted_tokens),
-            "prefix_evicted_tokens": float(self.evicted_tokens),
-            "prefix_peak_gpu_tokens": float(self.peak_gpu_cached_tokens),
-            "tier_parked_tokens": float(self.parked_tokens),
-            "tier_unparked_tokens": float(self.unparked_tokens),
-            "tier_dropped_host_tokens": float(self.dropped_host_tokens),
-            "tier_swap_out_mb": self.swap_out_bytes / 1e6,
-            "tier_swap_in_mb": self.swap_in_bytes / 1e6,
-            "tier_swap_in_stall_ms": self.swap_in_stall_us / 1e3,
-            "tier_prefetch_hits": float(self.prefetch_hits),
-            "tier_peak_host_tokens": float(self.peak_host_tokens),
-        }
-
-
 @dataclass(frozen=True)
 class ShedRecord:
     """One request shed from the admission queue before it ever started.
@@ -645,15 +485,8 @@ class ServingStats:
 
     @property
     def n_shed(self) -> int:
-        """Shed submissions: the recorded arrivals, or the bare counter.
-
-        The serving loop records every shed arrival via
-        :meth:`record_shed`; stats assembled by hand may only carry the
-        :class:`FaultStats` counter, which is honoured as a fallback.
-        """
-        if self.shed:
-            return len(self.shed)
-        return self.faults.shed_requests if self.faults is not None else 0
+        """Shed submissions (every one recorded via :meth:`record_shed`)."""
+        return len(self.shed)
 
     def _values(self, attr: str) -> list[float]:
         return [getattr(t, attr) for t in self.timings]
@@ -679,32 +512,17 @@ class ServingStats:
         return max(ends) - min(arrivals)
 
     def _attached_summaries(self) -> dict[str, float]:
+        """Flat counters of every attached subsystem's stats.
+
+        Each stats object is attached only when its subsystem is
+        configured, so a summary carries no keys of a disabled one.
+        """
         out: dict[str, float] = {}
-        if self.expert_cache is not None:
-            out.update(self.expert_cache.summary())
-        if self.faults is not None:
-            out.update(self.faults.summary())
-        if self.preemptions is not None and self.preemptions.preemptions:
-            # Every preempt_* counter is downstream of >= 1 preemption,
-            # so an inert priority config adds no keys at all -- the
-            # summary stays bit-identical to the FIFO scheduler's.
-            out.update(self.preemptions.summary())
-        if self.graphs is not None:
-            # Attached only when a graph cache or a non-legacy dispatch
-            # is configured, so legacy summaries carry no graph_* keys.
-            out.update(self.graphs.summary())
-        if self.sessions is not None:
-            # Attached only when a prefix cache is configured, so
-            # sessionless summaries carry no prefix_*/tier_* keys.
-            out.update(self.sessions.summary())
-        if self.pipeline is not None:
-            # Attached only when the layer stack is sharded, so
-            # single-stage summaries carry no pipeline_* keys.
-            out.update(self.pipeline.summary())
-        if self.controller is not None:
-            # Attached only when an online controller drives the engine,
-            # so static-config summaries carry no ctrl_* keys.
-            out.update(self.controller.summary())
+        for part in (self.expert_cache, self.faults, self.preemptions,
+                     self.graphs, self.sessions, self.pipeline,
+                     self.controller):
+            if part is not None:
+                out.update(part.summary())
         return out
 
     def windowed(self, window_us: float, now_us: float,

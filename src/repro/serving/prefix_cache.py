@@ -42,9 +42,19 @@ Structural invariants (fuzz-tested in ``tests/test_prefix_cache.py``):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..errors import ConfigError, KVCacheError
 from ..model.paged import PagedKVPool
+from ..sched.kv_offload import kv_page_transfer_us
+
+if TYPE_CHECKING:   # pragma: no cover - the engine imports this module
+    from .continuous import ContinuousBatchingServer, _InFlight
+    from .traffic import TimedRequest
+
+#: Smoothing of the per-session think-time EWMA that predicts when a
+#: session's next turn arrives (the ahead-of-turn swap-in schedule).
+THINK_EWMA_ALPHA = 0.5
 
 
 @dataclass(frozen=True)
@@ -75,22 +85,84 @@ class KVTierConfig:
     unreferenced for ``idle_park_us`` of serving-clock time.  With
     ``prefetch`` on, the serving engine starts the swap-in transfer
     ahead of a session's *predicted* next turn (EWMA over observed
-    think times with smoothing ``think_ewma_alpha``), so a well-predicted
-    turn pays no swap-in stall at all.
+    think times with smoothing :data:`THINK_EWMA_ALPHA`), so a
+    well-predicted turn pays no swap-in stall at all.
     """
 
     host_budget_tokens: int = 65536
     idle_park_us: float = 1_000_000.0
     prefetch: bool = True
-    think_ewma_alpha: float = 0.5
 
     def __post_init__(self) -> None:
         if self.host_budget_tokens <= 0:
             raise ConfigError("host_budget_tokens must be positive")
         if self.idle_park_us < 0:
             raise ConfigError("idle_park_us must be >= 0")
-        if not (0.0 < self.think_ewma_alpha <= 1.0):
-            raise ConfigError("think_ewma_alpha must be in (0, 1]")
+
+
+@dataclass
+class SessionStats:
+    """Prefix-cache and KV-tier counters of one serving run.
+
+    The :class:`RadixPrefixCache` counts its own insert/evict/park
+    traffic here; the :class:`SessionCache` a serving engine builds for
+    its :class:`PrefixCacheConfig` adds reuse, swap-in and peak
+    counters and attaches the stats as ``stats.sessions``.  The flat
+    view lands in ``ServingStats.summary()`` via :meth:`summary`
+    (``prefix_*`` keys for radix-cache reuse, ``tier_*`` keys for the
+    host-DRAM layer).
+
+    ``prefill_tokens_avoided`` counts prompt tokens served as cached
+    page references instead of prefill work; ``swap_*_bytes`` price the
+    park/unpark traffic (swap-out runs off the critical path, so only
+    ``tier_swap_in_stall_ms`` ever reaches the serving clock);
+    ``prefetch_hits`` counts unparks whose ahead-of-turn transfer
+    finished before the turn arrived (zero stall).
+    """
+
+    prefix_hits: int = 0
+    prefix_misses: int = 0
+    prompt_tokens_total: int = 0
+    prefill_tokens_avoided: int = 0
+    inserted_tokens: int = 0
+    evicted_tokens: int = 0
+    parked_tokens: int = 0
+    unparked_tokens: int = 0
+    dropped_host_tokens: int = 0
+    swap_out_bytes: float = 0.0
+    swap_in_bytes: float = 0.0
+    swap_in_stall_us: float = 0.0
+    prefetch_hits: int = 0
+    peak_host_tokens: int = 0
+    peak_gpu_cached_tokens: int = 0
+
+    @property
+    def reuse_fraction(self) -> float:
+        """Fraction of submitted prompt tokens served from the cache."""
+        if self.prompt_tokens_total == 0:
+            return 0.0
+        return self.prefill_tokens_avoided / self.prompt_tokens_total
+
+    def summary(self) -> dict[str, float]:
+        """Flat ``prefix_*``/``tier_*`` counters for the summary."""
+        return {
+            "prefix_hits": float(self.prefix_hits),
+            "prefix_misses": float(self.prefix_misses),
+            "prefix_prompt_tokens": float(self.prompt_tokens_total),
+            "prefix_tokens_avoided": float(self.prefill_tokens_avoided),
+            "prefix_reuse_fraction": self.reuse_fraction,
+            "prefix_inserted_tokens": float(self.inserted_tokens),
+            "prefix_evicted_tokens": float(self.evicted_tokens),
+            "prefix_peak_gpu_tokens": float(self.peak_gpu_cached_tokens),
+            "tier_parked_tokens": float(self.parked_tokens),
+            "tier_unparked_tokens": float(self.unparked_tokens),
+            "tier_dropped_host_tokens": float(self.dropped_host_tokens),
+            "tier_swap_out_mb": self.swap_out_bytes / 1e6,
+            "tier_swap_in_mb": self.swap_in_bytes / 1e6,
+            "tier_swap_in_stall_ms": self.swap_in_stall_us / 1e3,
+            "tier_prefetch_hits": float(self.prefetch_hits),
+            "tier_peak_host_tokens": float(self.peak_host_tokens),
+        }
 
 
 @dataclass(frozen=True)
@@ -152,13 +224,8 @@ class RadixPrefixCache:
         self._gpu_tokens = 0
         self._host_tokens = 0
         self._total_refs = 0
-        # Cumulative traffic counters (monotone; the serving engine
-        # copies them into SessionStats / prices them into swap bytes).
-        self.inserted_tokens = 0
-        self.evicted_tokens = 0
-        self.parked_tokens = 0
-        self.unparked_tokens = 0
-        self.dropped_host_tokens = 0
+        # Cumulative insert/evict/park traffic lands here directly.
+        self.stats = SessionStats()
 
     # -- observability -------------------------------------------------------
 
@@ -350,7 +417,7 @@ class RadixPrefixCache:
         node.on_gpu = True
         self._host_tokens -= n
         self._gpu_tokens += n
-        self.unparked_tokens += n
+        self.stats.unparked_tokens += n
 
     def insert(self, tokens, now: float, max_new_pages: int) -> int:
         """Cache the page-aligned prefix of ``tokens``; returns new tokens.
@@ -411,7 +478,7 @@ class RadixPrefixCache:
         self.pool.append_placeholder(child.slot, remaining)
         node.children[child.tokens[:self.page_tokens]] = child
         self._gpu_tokens += remaining
-        self.inserted_tokens += remaining
+        self.stats.inserted_tokens += remaining
         return remaining
 
     # -- eviction and tiering ------------------------------------------------
@@ -426,7 +493,7 @@ class RadixPrefixCache:
         for child in list(node.children.values()):
             self._drop_host_subtree(child)
             self._host_tokens -= len(child.tokens)
-            self.dropped_host_tokens += len(child.tokens)
+            self.stats.dropped_host_tokens += len(child.tokens)
         node.children.clear()
 
     def _evict(self, node: _Node) -> int:
@@ -437,11 +504,11 @@ class RadixPrefixCache:
         if node.on_gpu:
             self.pool.free(node.slot)
             self._gpu_tokens -= n
-            self.evicted_tokens += n
+            self.stats.evicted_tokens += n
             pages = n // self.page_tokens
         else:
             self._host_tokens -= n
-            self.dropped_host_tokens += n
+            self.stats.dropped_host_tokens += n
         del node.parent.children[node.tokens[:self.page_tokens]]
         node.parent = None
         return pages
@@ -485,7 +552,7 @@ class RadixPrefixCache:
         if victim is None:
             return False
         self._host_tokens -= len(victim.tokens)
-        self.dropped_host_tokens += len(victim.tokens)
+        self.stats.dropped_host_tokens += len(victim.tokens)
         del victim.parent.children[victim.tokens[:self.page_tokens]]
         victim.parent = None
         return True
@@ -531,8 +598,160 @@ class RadixPrefixCache:
                     node.on_gpu = False
                     self._gpu_tokens -= n
                     self._host_tokens += n
-                    self.parked_tokens += n
+                    self.stats.parked_tokens += n
                     parked += n
                 progress = True
                 break       # tree mutated: restart the scan
         return parked
+
+
+class SessionCache:
+    """The serving engine's session subsystem over a radix prefix cache.
+
+    Built by the engine only for a :class:`PrefixCacheConfig`: owns the
+    :class:`RadixPrefixCache` over the engine's pool, attaches its
+    :class:`SessionStats` as ``stats.sessions``, and with a
+    :class:`KVTierConfig` predicts each session's next turn (think-time
+    EWMA) so host-parked prefixes can swap in ahead of it.
+    """
+
+    def __init__(self, server: "ContinuousBatchingServer",
+                 config: PrefixCacheConfig,
+                 tier: KVTierConfig | None) -> None:
+        self.server = server
+        self.tier = tier
+        self.cache = RadixPrefixCache(server.pool, config, tier)
+        self.stats = self.cache.stats
+        server.stats.sessions = self.stats
+        self.stall_us = 0.0
+        # Per-session think-time EWMA state for ahead-of-turn swap-in.
+        self._last_finish: dict[str, float] = {}
+        self._think: dict[str, float] = {}
+        self._predicted_next: dict[str, float] = {}
+
+    def admit(self, timed: "TimedRequest", tokens: tuple,
+              probe: MatchProbe, clock: float) -> int:
+        """Pin the probed prefix of an admitted request; returns its length.
+
+        ``tokens`` is the prompt as the cache's key.  Counts the prompt
+        into the reuse stats and feeds the request's arrival into its
+        session's think-time EWMA.
+        """
+        matched = 0
+        if probe.matched_tokens:
+            matched, unparked = self.cache.acquire(tokens, clock)
+            if unparked:
+                self._swap_in(timed, unparked, clock)
+        self._observe(timed)
+        stats = self.stats
+        stats.prompt_tokens_total += len(tokens)
+        if matched:
+            stats.prefix_hits += 1
+            stats.prefill_tokens_avoided += matched
+        else:
+            stats.prefix_misses += 1
+        return matched
+
+    def _swap_in(self, timed: "TimedRequest", unparked: int,
+                 clock: float) -> None:
+        """Price the swap-in of ``unparked`` host-parked prefix tokens.
+
+        The transfer crosses the (possibly fault-degraded) PCIe link at
+        :func:`~repro.sched.kv_offload.kv_page_transfer_us` pricing.
+        With prefetch on and a think-time prediction for the session,
+        the transfer is modelled as launched ahead of the predicted
+        turn (never before the session's previous turn finished), so an
+        accurate prediction hides the transfer entirely -- only the
+        non-hidden remainder stalls the serving clock.  A turn arriving
+        *before* the scheduled prefetch launch degrades to an on-demand
+        swap-in starting now, never a wait for the schedule.
+        """
+        server = self.server
+        xfer = kv_page_transfer_us(server.session.preset, unparked,
+                                   server.link_at(clock))
+        sid = timed.session_id
+        if self.tier.prefetch and sid in self._predicted_next:
+            start = max(self._last_finish[sid],
+                        self._predicted_next[sid] - xfer)
+            start = min(start, clock)
+        else:
+            start = clock
+        stall = max(0.0, start + xfer - clock)
+        stats = self.stats
+        if stall == 0.0:
+            stats.prefetch_hits += 1
+        stats.swap_in_stall_us += stall
+        self.stall_us += stall
+        stats.swap_in_bytes = server.costs.kv_swap_bytes(
+            stats.unparked_tokens)
+
+    def _observe(self, timed: "TimedRequest") -> None:
+        """Update the session's think-time EWMA from this turn's arrival."""
+        sid = timed.session_id
+        last = self._last_finish.get(sid)
+        if last is None:
+            return      # untagged, first turn, or no tier
+        think = max(0.0, timed.arrival_us - last)
+        prev = self._think.get(sid)
+        self._think[sid] = (
+            think if prev is None
+            else THINK_EWMA_ALPHA * think + (1 - THINK_EWMA_ALPHA) * prev)
+
+    def take_stall(self) -> float:
+        """The swap-in stall accrued since the last call (then reset)."""
+        stall, self.stall_us = self.stall_us, 0.0
+        return stall
+
+    def park_idle(self, clock: float) -> None:
+        """Park idle sessions' pages in host DRAM (off the critical path).
+
+        Bytes are priced at the preemption-swap unit, so tier and
+        preemption traffic are directly comparable.  No-op without a
+        tier config.
+        """
+        if self.tier is None:
+            return
+        if self.cache.park_idle(clock):
+            self.stats.swap_out_bytes = self.server.costs.kv_swap_bytes(
+                self.stats.parked_tokens)
+
+    def release(self, a: "_InFlight", clock: float, reserved_pages: int,
+                insert: bool) -> None:
+        """Insert a leaving request's prompt, then drop its prefix pins.
+
+        Insert runs first (``insert=False`` for shed/timed-out requests)
+        so the request's own references protect its shared prefix while
+        the insert makes room; the new node may claim at most the pages
+        left over after every live reservation (``reserved_pages``) and
+        the cache's current footprint.
+        """
+        prompt = a.prompt_tokens
+        if insert:
+            headroom = (self.cache.pool.budget_pages - reserved_pages
+                        - self.cache.gpu_pages)
+            self.cache.insert(prompt, clock, max_new_pages=max(0, headroom))
+        if a.shared_tokens:
+            self.cache.release(prompt, a.shared_tokens, clock)
+
+    def end_turn(self, timed: "TimedRequest", clock: float) -> None:
+        """At turn finish, predict the session's next arrival (if any EWMA).
+
+        Finish time is when the user starts thinking; only a tiered
+        cache ever uses the prediction.
+        """
+        sid = timed.session_id
+        if sid is None or self.tier is None:
+            return
+        self._last_finish[sid] = clock
+        think = self._think.get(sid)
+        if think is not None:
+            self._predicted_next[sid] = clock + think
+
+    def sample(self) -> tuple[int, int]:
+        """The cache's (GPU, host) token occupancy, sampled into the peaks."""
+        cache, stats = self.cache, self.stats
+        stats.peak_host_tokens = max(stats.peak_host_tokens,
+                                     cache.host_tokens)
+        stats.peak_gpu_cached_tokens = max(stats.peak_gpu_cached_tokens,
+                                           cache.gpu_tokens)
+        return cache.gpu_tokens, cache.host_tokens

@@ -73,11 +73,10 @@ class BatchSchedulerConfig:
     batch (``None`` keeps the monolithic boundary pass).  A fresh
     admission wave whose total prompt tokens fit the budget still runs
     as one monolithic pass, so a budget of ``kv_budget_tokens`` is
-    guaranteed to reproduce the un-chunked scheduler exactly.
-    ``chunk_policy`` arbitrates the shared iteration token budget:
-    ``"decode-priority"`` charges each decoding request's token against
-    the chunk budget first (prefill gets the remainder, possibly zero);
-    ``"prefill-priority"`` always grants prefill the full budget.
+    guaranteed to reproduce the un-chunked scheduler exactly.  Each
+    decoding request's token counts against the chunk budget first
+    (prefill gets the remainder, possibly zero): Sarathi-style
+    stall-free batching.
 
     ``graph_cache`` attaches a CUDA-graph capture cache
     (:class:`~repro.sched.cuda_graph.GraphCacheConfig`): decode batches
@@ -114,7 +113,6 @@ class BatchSchedulerConfig:
     page_tokens: int = DEFAULT_PAGE_TOKENS
     ari_threshold: int | None = None   # None -> backend's calibrated crossover
     prefill_chunk_tokens: int | None = None   # None -> monolithic prefill
-    chunk_policy: str = "decode-priority"
     graph_cache: GraphCacheConfig | None = None   # None -> free replay
     gemm_dispatch: str = "legacy"
     pipeline_stages: int = 1
@@ -130,10 +128,6 @@ class BatchSchedulerConfig:
         if (self.prefill_chunk_tokens is not None
                 and self.prefill_chunk_tokens <= 0):
             raise ConfigError("prefill_chunk_tokens must be positive")
-        if self.chunk_policy not in ("decode-priority", "prefill-priority"):
-            raise ConfigError(
-                f"unknown chunk_policy {self.chunk_policy!r}; expected "
-                "'decode-priority' or 'prefill-priority'")
         _check_gemm_dispatch(self.gemm_dispatch)
         if self.pipeline_stages <= 0:
             raise ConfigError("pipeline_stages must be positive")

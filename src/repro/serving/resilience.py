@@ -27,11 +27,80 @@ survives injected faults with three mechanisms, all configured here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..errors import ConfigError
+from ..faults.injector import FaultInjector
 from ..faults.retry import RetryPolicy
-from .metrics import FaultStats
+from ..hw.roofline import overlapped_transfer_stall_us, pcie_transfer_time_us
+from ..hw.spec import InterconnectSpec
+from ..moe.expert_cache import ExpertCacheManager
+
+if TYPE_CHECKING:   # pragma: no cover - metrics imports this module
+    from .metrics import ServingStats
+
+# Synchronous re-upload attempts the *naive* (no-ResilienceConfig) server
+# makes per failed expert upload, each stalling the whole batch for the
+# full PCIe transfer on the degraded link.
+NAIVE_UPLOAD_ATTEMPTS = 8
+
+
+@dataclass
+class FaultStats:
+    """Fault, retry, shedding, and degradation counters of one serving run.
+
+    Attached to :class:`~repro.serving.metrics.ServingStats` by the
+    :class:`UploadFaults` a serving engine builds when a fault injector
+    or a resilience policy is active; the aggregate view (fault
+    counters, retry histogram, shed/degraded counts, recovery times)
+    lands in ``ServingStats.summary()`` via :meth:`summary`.
+    """
+
+    upload_failures: int = 0
+    retries_attempted: int = 0
+    retries_succeeded: int = 0
+    retries_abandoned: int = 0
+    retry_attempt_histogram: dict[int, int] = field(default_factory=dict)
+    shed_requests: int = 0
+    timed_out_requests: int = 0
+    degraded_entries: int = 0
+    degraded_iterations: int = 0
+    recovery_times_us: list[float] = field(default_factory=list)
+    fault_stall_us: float = 0.0
+
+    def record_retry(self, attempt: int) -> None:
+        """Count one retry attempt into the per-attempt histogram."""
+        self.retries_attempted += 1
+        self.retry_attempt_histogram[attempt] = (
+            self.retry_attempt_histogram.get(attempt, 0) + 1)
+
+    @property
+    def mean_recovery_us(self) -> float:
+        """Mean time from entering degraded mode back to normal operation."""
+        if not self.recovery_times_us:
+            return 0.0
+        return sum(self.recovery_times_us) / len(self.recovery_times_us)
+
+    def summary(self) -> dict[str, float]:
+        """Flat ``fault_*`` counters merged into ``ServingStats.summary()``."""
+        out = {
+            "fault_upload_failures": float(self.upload_failures),
+            "fault_retries_attempted": float(self.retries_attempted),
+            "fault_retries_succeeded": float(self.retries_succeeded),
+            "fault_retries_abandoned": float(self.retries_abandoned),
+            "fault_shed_requests": float(self.shed_requests),
+            "fault_timed_out_requests": float(self.timed_out_requests),
+            "fault_degraded_entries": float(self.degraded_entries),
+            "fault_degraded_iterations": float(self.degraded_iterations),
+            "fault_recoveries": float(len(self.recovery_times_us)),
+            "fault_mean_recovery_ms": self.mean_recovery_us / 1e3,
+            "fault_stall_ms": self.fault_stall_us / 1e3,
+        }
+        for attempt in sorted(self.retry_attempt_histogram):
+            out[f"fault_retry_attempt_{attempt}"] = float(
+                self.retry_attempt_histogram[attempt])
+        return out
 
 
 @dataclass(frozen=True)
@@ -135,3 +204,152 @@ class DegradationTracker:
         if new_episode:
             self.entered_at_us = clock_us
             stats.degraded_entries += 1
+
+
+class UploadFaults:
+    """Upload-fault handling of one serving engine.
+
+    Built by the engine only for a fault injector or a resilience
+    policy, attaching its :class:`FaultStats` as ``stats.faults`` (the
+    engine counts its load shedding there too).  Without a
+    :class:`ResilienceConfig` it is the *naive* arm (blocking
+    re-uploads); with one, failed uploads retry off the critical path
+    and a :class:`DegradationTracker` bypasses the cache while failures
+    persist.
+    """
+
+    def __init__(self, injector: FaultInjector | None,
+                 config: ResilienceConfig | None,
+                 expert_cache: ExpertCacheManager | None,
+                 stats: "ServingStats") -> None:
+        self.injector = injector
+        self.config = config
+        self.expert_cache = expert_cache
+        self.stats = FaultStats()
+        stats.faults = self.stats
+        self.degradation: DegradationTracker | None = None
+        if (config is not None and injector is not None
+                and expert_cache is not None):
+            self.degradation = DegradationTracker(config)
+        self.retries: list[RetryState] = []
+
+    def bypass_iteration(self) -> bool:
+        """Whether this iteration bypasses the expert cache (degraded).
+
+        The engine then prices every routed expert on the CPU, with no
+        residency update and no uploads; the iteration is counted.
+        """
+        if self.degradation is None or not self.degradation.bypassing:
+            return False
+        self.degradation.tick_bypass()
+        self.stats.degraded_iterations += 1
+        return True
+
+    def upload_stall_us(self, clock: float, iteration: int,
+                        uploads: tuple, window_us: float,
+                        link: InterconnectSpec) -> float:
+        """Handle one cache iteration's upload faults; returns the stall.
+
+        Due retries run first, then failed ``uploads`` leave the cache
+        and are re-uploaded synchronously (naive) or scheduled for retry.
+        Entering degraded mode orphans in-flight retries: completing
+        them buys nothing while the cache is bypassed.
+        """
+        extra_stall, had_failures = 0.0, False
+        if self.retries:
+            extra_stall, had_failures = self._process_retries(
+                clock, iteration, window_us, link)
+        failed: tuple[tuple[int, int], ...] = ()
+        if self.injector is not None and uploads:
+            failed = self.injector.failed_uploads(clock, iteration, uploads)
+        if failed:
+            had_failures = True
+            self.stats.upload_failures += len(failed)
+            for layer, expert in failed:
+                self.expert_cache.fail_upload(layer, expert)
+            if self.config is None:
+                extra_stall += self._naive_retry_stall_us(
+                    clock, iteration, failed, link)
+            else:
+                retry = self.config.retry
+                for layer, expert in failed:
+                    due = clock + retry.delay_us(
+                        1, key=(iteration, layer, expert))
+                    self.retries.append(RetryState(layer, expert, 1, due))
+        if extra_stall:
+            self.stats.fault_stall_us += extra_stall
+        if self.degradation is not None:
+            self.degradation.observe(had_failures, clock, self.stats)
+            if self.degradation.bypassing and self.retries:
+                self.stats.retries_abandoned += len(self.retries)
+                self.retries.clear()
+        return extra_stall
+
+    def _process_retries(self, clock: float, iteration: int,
+                         window_us: float,
+                         link: InterconnectSpec) -> tuple[float, bool]:
+        """Run upload retries whose backoff expired; returns (stall, gave_up).
+
+        A successful retry re-admits the expert (if it still fits) and
+        pays only the non-overlapped remainder of its transfer -- it
+        rides the prefetch window like a planned upload.  A failing
+        retry re-enqueues with the next backoff delay until the policy's
+        attempt cap, then is abandoned (feeding the degradation
+        tracker).
+        """
+        due = [r for r in self.retries if r.due_us <= clock]
+        if not due:
+            return 0.0, False
+        keep = [r for r in self.retries if r.due_us > clock]
+        retry = self.config.retry
+        expert_bytes = self.expert_cache.config.expert_bytes
+        stall = 0.0
+        abandoned = False
+        for r in due:
+            self.stats.record_retry(r.attempt)
+            fails = self.injector.retry_fails(
+                clock, iteration, r.layer, r.expert, r.attempt)
+            if not fails:
+                self.stats.retries_succeeded += 1
+                if self.expert_cache.admit(r.layer, r.expert):
+                    stall += overlapped_transfer_stall_us(
+                        expert_bytes, link, window_us)
+            elif r.attempt >= retry.max_retries:
+                self.stats.retries_abandoned += 1
+                abandoned = True
+            else:
+                nxt = r.attempt + 1
+                keep.append(RetryState(
+                    r.layer, r.expert, nxt,
+                    clock + retry.delay_us(
+                        nxt, key=(iteration, r.layer, r.expert)),
+                ))
+        self.retries = keep
+        return stall, abandoned
+
+    def _naive_retry_stall_us(
+        self, clock: float, iteration: int,
+        failed: tuple[tuple[int, int], ...], link: InterconnectSpec,
+    ) -> float:
+        """Blocking synchronous re-uploads: the naive arm's failure mode.
+
+        Every failed expert is re-uploaded immediately and synchronously
+        -- each attempt stalls the *whole batch* for the full PCIe
+        transfer on the (possibly degraded) link, compounding exactly the
+        congestion that failed the upload in the first place.
+        """
+        expert_bytes = self.expert_cache.config.expert_bytes
+        xfer = pcie_transfer_time_us(expert_bytes, link)
+        stall = 0.0
+        for layer, expert in failed:
+            for attempt in range(1, NAIVE_UPLOAD_ATTEMPTS + 1):
+                self.stats.record_retry(attempt)
+                stall += xfer
+                if not self.injector.retry_fails(
+                        clock, iteration, layer, expert, attempt):
+                    self.stats.retries_succeeded += 1
+                    self.expert_cache.admit(layer, expert)
+                    break
+            else:
+                self.stats.retries_abandoned += 1
+        return stall

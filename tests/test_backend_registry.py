@@ -5,9 +5,9 @@ Covers the satellites around the pluggable backend registry:
 - the shared ARI selector: both historical call sites
   (``batched_decode_layer_work`` and ``hybrid_chunk_layer_work``) classify
   identically at the threshold, threshold +- 1, and 0 tokens;
-- fail-fast string knobs: unknown ``backend`` / ``gemm_dispatch`` /
-  ``chunk_policy`` names raise :class:`ValueError` at config construction,
-  listing the valid choices;
+- fail-fast string knobs: unknown ``backend`` / ``gemm_dispatch`` names
+  raise :class:`ValueError` at config construction, listing the valid
+  choices;
 - registry mechanics: register/unregister/replace semantics, resolution,
   launch-model overrides, AMX-capability fallback;
 - property-based determinism: every registered backend prices strictly
@@ -147,10 +147,6 @@ class TestFailFastKnobs:
     def test_unknown_gemm_dispatch(self):
         with pytest.raises(ValueError, match="legacy"):
             BatchSchedulerConfig(gemm_dispatch="magic")
-
-    def test_unknown_chunk_policy(self):
-        with pytest.raises(ValueError, match="decode-priority"):
-            BatchSchedulerConfig(chunk_policy="yolo")
 
     def test_unknown_backend_in_cost_model(self, session):
         with pytest.raises(ValueError, match="registered backends"):

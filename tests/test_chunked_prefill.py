@@ -212,10 +212,7 @@ class TestChunkSchedulerConfig:
             BatchSchedulerConfig(prefill_chunk_tokens=0)
         with pytest.raises(ConfigError):
             BatchSchedulerConfig(prefill_chunk_tokens=-5)
-        with pytest.raises(ConfigError):
-            BatchSchedulerConfig(chunk_policy="round-robin")
-        cfg = BatchSchedulerConfig(prefill_chunk_tokens=64,
-                                   chunk_policy="prefill-priority")
+        cfg = BatchSchedulerConfig(prefill_chunk_tokens=64)
         assert cfg.prefill_chunk_tokens == 64
 
 
@@ -250,8 +247,7 @@ class TestChunkStateMachine:
         """A later arrival prefills in chunks while the first request
         keeps decoding -- no monolithic stall in between."""
         server = ContinuousBatchingServer(session, BatchSchedulerConfig(
-            kv_budget_tokens=256, max_batch_size=4, prefill_chunk_tokens=8,
-            chunk_policy="prefill-priority"))
+            kv_budget_tokens=256, max_batch_size=4, prefill_chunk_tokens=8))
         wl = [t for t in _workload(2, 1, prompt_len=16, new_tokens=8)]
         stats = server.replay(list(wl))
         hybrid = [p for p in server.timeline.points
@@ -261,24 +257,18 @@ class TestChunkStateMachine:
         assert all(t.generated_tokens == 8 for t in stats.timings)
 
     def test_decode_priority_reserves_budget_for_decodes(self, session):
-        """decode-priority charges each decoding request against the
-        iteration budget; prefill-priority gives prefill the whole
-        budget, so its chunks are at least as large at every iteration."""
+        """Each decoding request is charged against the iteration
+        budget, so hybrid iterations give prefill only the remainder."""
         wl = list(_workload(3, 1, prompt_len=32, new_tokens=12))
-        chunks = {}
-        for policy in ("decode-priority", "prefill-priority"):
-            server = ContinuousBatchingServer(session, BatchSchedulerConfig(
-                kv_budget_tokens=512, max_batch_size=4,
-                prefill_chunk_tokens=8, chunk_policy=policy))
-            server.replay(list(wl))
-            chunks[policy] = [p.chunk_tokens for p in server.timeline.points
-                              if p.batch_size > p.n_prefilling > 0]
-        assert chunks["decode-priority"], "no hybrid iterations observed"
-        # Hybrid iterations under decode-priority give up budget to the
-        # decoding requests (chunks below 8); prefill-priority always
-        # schedules the full chunk budget.
-        assert any(c < 8 for c in chunks["decode-priority"])
-        assert all(c == 8 for c in chunks["prefill-priority"])
+        server = ContinuousBatchingServer(session, BatchSchedulerConfig(
+            kv_budget_tokens=512, max_batch_size=4, prefill_chunk_tokens=8))
+        server.replay(list(wl))
+        chunks = [p.chunk_tokens for p in server.timeline.points
+                  if p.batch_size > p.n_prefilling > 0]
+        assert chunks, "no hybrid iterations observed"
+        # Hybrid iterations give up budget to the decoding requests
+        # (chunks below 8).
+        assert any(c < 8 for c in chunks)
 
     def test_fresh_covered_queue_takes_monolithic_path(self, session):
         """chunk >= kv budget: every admission wave is fully covered, so
@@ -287,13 +277,12 @@ class TestChunkStateMachine:
         mono = ContinuousBatchingServer(session, BatchSchedulerConfig(
             kv_budget_tokens=1024, max_batch_size=8))
         want = _timings(mono.replay(list(wl)))
-        for policy in ("decode-priority", "prefill-priority"):
-            chunked = ContinuousBatchingServer(session, BatchSchedulerConfig(
-                kv_budget_tokens=1024, max_batch_size=8,
-                prefill_chunk_tokens=1024, chunk_policy=policy))
-            got = _timings(chunked.replay(list(wl)))
-            assert got == want
-            assert chunked.timeline.n_chunked_iterations == 0
+        chunked = ContinuousBatchingServer(session, BatchSchedulerConfig(
+            kv_budget_tokens=1024, max_batch_size=8,
+            prefill_chunk_tokens=1024))
+        got = _timings(chunked.replay(list(wl)))
+        assert got == want
+        assert chunked.timeline.n_chunked_iterations == 0
 
     def test_chunked_replay_deterministic(self, session):
         wl = list(_workload(6, 50_000, prompt_len=24, new_tokens=5))

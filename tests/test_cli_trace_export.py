@@ -72,6 +72,12 @@ class TestCLI:
         assert main(["calibrate"]) == 0
         assert "7/7 anchors within tolerance" in capsys.readouterr().out
 
+    def test_report(self, capsys):
+        assert main(["report"]) == 0
+        out = capsys.readouterr().out
+        assert "Table 1: evaluated models" in out
+        assert "Figure 12: decode throughput" in out
+
     def test_trace_export(self, tmp_path, capsys):
         out_file = tmp_path / "t.json"
         assert main(["trace", "--model", "qw2", "--tokens", "1",

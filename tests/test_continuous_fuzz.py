@@ -74,7 +74,6 @@ config_strategy = st.fixed_dictionaries({
     # None = monolithic boundary passes; small chunks force multi-chunk
     # prefills and hybrid iterations through every property below.
     "prefill_chunk_tokens": st.none() | st.sampled_from([4, 8, 16, 32, 64]),
-    "chunk_policy": st.sampled_from(["decode-priority", "prefill-priority"]),
 })
 
 
@@ -197,23 +196,21 @@ def test_replay_invariants_under_fault_plan(wl, cfg, plan, capacity):
 @given(wl=workload_strategy,
        kv=st.sampled_from([128, 256, 512]),
        batch=st.integers(1, 8),
-       chunk=st.sampled_from([4, 8, 16, 32]),
-       policy=st.sampled_from(["decode-priority", "prefill-priority"]))
-def test_chunked_conserves_tokens(wl, kv, batch, chunk, policy):
+       chunk=st.sampled_from([4, 8, 16, 32]))
+def test_chunked_conserves_tokens(wl, kv, batch, chunk):
     """Chunking changes *when* prompts prefill, never *what* is emitted:
     per-request token counts match the monolithic replay exactly, and
     both conserve the functional model's generated token values."""
-    def run(chunk_tokens, chunk_policy="decode-priority"):
+    def run(chunk_tokens):
         workload = poisson_workload(vocab_size=64, **wl)
         server = ContinuousBatchingServer(
             get_session(),
             BatchSchedulerConfig(kv_budget_tokens=kv, max_batch_size=batch,
-                                 prefill_chunk_tokens=chunk_tokens,
-                                 chunk_policy=chunk_policy))
+                                 prefill_chunk_tokens=chunk_tokens))
         return workload, server.replay(list(workload))
 
     workload, mono = run(None)
-    _, chunked = run(chunk, policy)
+    _, chunked = run(chunk)
 
     def counts(stats):
         return [(t.arrival_us, t.prompt_tokens, t.generated_tokens,
@@ -514,7 +511,6 @@ def _matrix_server(wl, cfg, features):
             kv_budget_tokens=cfg["kv_budget_tokens"],
             max_batch_size=cfg["max_batch_size"],
             prefill_chunk_tokens=features["prefill_chunk_tokens"],
-            chunk_policy=cfg["chunk_policy"],
             pipeline_stages=features["pipeline_stages"],
             graph_cache=(GraphCacheConfig(batch_buckets=(1, 2, 4, 8))
                          if features["graph_cache"] else None)),

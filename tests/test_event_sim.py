@@ -173,3 +173,33 @@ def test_retime_validates_durations_and_hooks():
         graph.retime([2.0, 3.0], DurationScaling(-1.0, 1.0))
     with pytest.raises(SimulationError, match="'b'"):
         graph.retime([2.0, float("inf")], DurationScaling(1.0, 1.0))
+
+
+class TestSimulatorFailureModes:
+    def test_cycles_impossible_through_public_api(self):
+        """submit() takes only already-created tasks as deps, so dependency
+        cycles cannot be expressed -- the DAG property holds by
+        construction."""
+        sim = Simulator()
+        res = sim.resource("cpu")
+        a = sim.submit("a", res, 1.0)
+        b = sim.submit("b", res, 1.0, deps=[a])
+        end = sim.drain()
+        assert end == 2.0
+        assert sim.starts[b] == 1.0
+
+    def test_submit_rejects_unknown_ids(self):
+        """A dep must be an earlier task id and a resource a handed-out
+        id; negative indexing must not wire a task to the last one."""
+        sim = Simulator()
+        res = sim.resource("cpu")
+        a = sim.submit("a", res, 1.0)
+        for deps in ([-1], [a + 1], [a, 5]):
+            with pytest.raises(SimulationError, match="earlier task ids"):
+                sim.submit("x", res, 1.0, deps=deps)
+        for bad in (7, -1):
+            with pytest.raises(SimulationError, match="unknown resource"):
+                sim.submit("x", bad, 1.0)
+        # Rejected submits leave no trace in the graph.
+        assert len(sim.all_tasks) == 1 and sim.dependents == [[]]
+        assert sim.drain() == 1.0

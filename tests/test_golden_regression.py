@@ -249,9 +249,8 @@ def test_golden_chaos_hardened_arm():
 # covers every co-admitted fresh prompt must reproduce the un-chunked
 # replay *bit for bit* -- same floats, not merely within tolerance.
 
-def _equivalence_replay(chunk_tokens, chunk_policy="decode-priority",
-                        chaos=False, priorities=None, sched_extra=None,
-                        server_extra=None, workload=None):
+def _equivalence_replay(chunk_tokens, chaos=False, priorities=None,
+                        sched_extra=None, server_extra=None, workload=None):
     from repro.serving import (
         BatchSchedulerConfig, ContinuousBatchingServer, poisson_workload,
         serving_expert_cache,
@@ -272,7 +271,6 @@ def _equivalence_replay(chunk_tokens, chunk_policy="decode-priority",
         session,
         BatchSchedulerConfig(kv_budget_tokens=512, max_batch_size=4,
                              prefill_chunk_tokens=chunk_tokens,
-                             chunk_policy=chunk_policy,
                              **(sched_extra or {})),
         priorities=priorities, **kwargs)
     stats = server.replay(list(workload) if workload is not None
@@ -283,12 +281,10 @@ def _equivalence_replay(chunk_tokens, chunk_policy="decode-priority",
              t.generated_tokens, t.timed_out) for t in stats.timings]
 
 
-@pytest.mark.parametrize("policy", ["decode-priority", "prefill-priority"])
-def test_golden_chunked_reproduces_monolithic(policy):
+def test_golden_chunked_reproduces_monolithic():
     """chunk budget >= kv budget: per-request timings are bit-identical
-    to the monolithic scheduler under either chunk policy."""
-    assert (_equivalence_replay(512, policy)
-            == _equivalence_replay(None))
+    to the monolithic scheduler."""
+    assert _equivalence_replay(512) == _equivalence_replay(None)
 
 
 def test_golden_chunked_chaos_bit_reproducible():

@@ -61,11 +61,6 @@ def test_tier_config_validation():
         KVTierConfig(host_budget_tokens=0)
     with pytest.raises(ConfigError):
         KVTierConfig(idle_park_us=-1.0)
-    with pytest.raises(ConfigError):
-        KVTierConfig(think_ewma_alpha=0.0)
-    with pytest.raises(ConfigError):
-        KVTierConfig(think_ewma_alpha=1.5)
-    assert KVTierConfig(think_ewma_alpha=1.0).prefetch is True
 
 
 # -- matching semantics ------------------------------------------------------
@@ -182,7 +177,7 @@ def test_insert_returns_new_tokens_only():
     assert cache.insert(toks(1, 2), now=1.0, max_new_pages=100) == 0
     # Extending adds only the fresh suffix.
     assert cache.insert(toks(1, 2, 3), now=2.0, max_new_pages=100) == PAGE
-    assert cache.inserted_tokens == 3 * PAGE
+    assert cache.stats.inserted_tokens == 3 * PAGE
 
 
 def test_insert_respects_page_grant():
@@ -206,7 +201,7 @@ def test_capacity_cap_evicts_lru_then_trims():
     cache.insert(toks(7, 8, 9), now=1.0, max_new_pages=100)
     # Total footprint never exceeds the cap; the older entry was evicted.
     assert cache.gpu_tokens + cache.host_tokens <= 3 * PAGE
-    assert cache.evicted_tokens >= 2 * PAGE
+    assert cache.stats.evicted_tokens >= 2 * PAGE
     assert cache.probe(toks(7, 8, 9)).matched_tokens == 2 * PAGE
 
 
@@ -287,7 +282,7 @@ def test_host_budget_overflow_drops_lru_leaf():
     # (or evicted outright) -- never an over-budget host stash.
     assert cache.host_tokens <= 2 * PAGE
     assert cache.gpu_tokens == 0
-    assert cache.dropped_host_tokens + cache.evicted_tokens >= 2 * PAGE
+    assert cache.stats.dropped_host_tokens + cache.stats.evicted_tokens >= 2 * PAGE
 
 
 def test_unfittable_node_is_evicted_not_parked():
@@ -296,7 +291,7 @@ def test_unfittable_node_is_evicted_not_parked():
     cache.insert(toks(1, 2, 3), now=0.0, max_new_pages=100)
     assert cache.park_idle(now=100.0) == 0
     assert cache.host_tokens == 0 and cache.gpu_tokens == 0
-    assert cache.evicted_tokens == 3 * PAGE
+    assert cache.stats.evicted_tokens == 3 * PAGE
 
 
 def test_no_gpu_node_below_host_node():
@@ -445,7 +440,7 @@ def test_fuzz_replay_is_bit_identical(ops, budget, tier):
         digest2 = sorted((n.tokens, n.on_gpu, n.refs)
                          for n in c2._iter_nodes())
         assert digest1 == digest2
-    assert (c1.inserted_tokens, c1.evicted_tokens, c1.parked_tokens,
-            c1.unparked_tokens, c1.dropped_host_tokens) == \
-           (c2.inserted_tokens, c2.evicted_tokens, c2.parked_tokens,
-            c2.unparked_tokens, c2.dropped_host_tokens)
+    assert (c1.stats.inserted_tokens, c1.stats.evicted_tokens, c1.stats.parked_tokens,
+            c1.stats.unparked_tokens, c1.stats.dropped_host_tokens) == \
+           (c2.stats.inserted_tokens, c2.stats.evicted_tokens, c2.stats.parked_tokens,
+            c2.stats.unparked_tokens, c2.stats.dropped_host_tokens)
