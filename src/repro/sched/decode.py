@@ -17,6 +17,7 @@ One decode step (one token) is lowered into simulator tasks:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 from typing import Optional, Sequence
@@ -241,8 +242,9 @@ def batched_step_time_us(
     aggregated-ARI kernel dispatch; under the per-expert dispatch it
     reflects one streamed GEMM launch per resident expert instead.
 
-    A miss re-times a topology compiled once per mix of CPU and dense
-    layers, ``config`` and step count, with ``works``' durations.
+    A miss runs a per-layer recurrence for a CUDA-graph chain without
+    deferral, else re-times a topology compiled once per mix of CPU and
+    dense layers, ``config`` and step count, with ``works``' durations.
     Results are memoized per process by graph content: the key is
     ``(tuple(works), config, machine, n_steps, warmup_steps, perturb)``,
     all hashed by value.  A hit returns the float a fresh simulation
@@ -266,11 +268,69 @@ def _simulated_step_us(
     perturb: PerturbHook,
 ) -> float:
     """:func:`batched_step_time_us` behind the memo, arguments validated."""
-    __, ends, total, heads = _retime_decode_chain(
-        works, config, machine, warmup_steps + n_steps, perturb)
-    if warmup_steps == 0:
-        return total / n_steps
-    return (total - ends[heads[warmup_steps - 1]]) / n_steps
+    steps = warmup_steps + n_steps
+    heads = _graph_head_ends(works, config, machine, steps, perturb)
+    if heads is None:
+        __, ends, total, ids = _retime_decode_chain(works, config, machine,
+                                                    steps, perturb)
+    else:
+        ends, total, ids = heads, heads[-1], range(steps)
+    boundary = ends[ids[warmup_steps - 1]] if warmup_steps else 0.0
+    return (total - boundary) / n_steps
+
+
+def _graph_head_ends(works: Sequence[DecodeLayerWork],
+                     config: DecodeScheduleConfig, machine: MachineSpec,
+                     n_steps: int, perturb: PerturbHook) -> Optional[list]:
+    """Each step's head end in a chain of ``n_steps`` CUDA-graph decode
+    steps without deferral, bit for bit as :func:`_retime_decode_chain`
+    times them; None for any other config or an invalid duration, which
+    recording the step then rejects with the recorder's error.
+
+    A step is its graph launch, per layer attention -> submit -> to-CPU
+    -> routed experts -> to-GPU -> sync -> shared -> merge (a dense layer
+    is attention alone), then the LM head, which every task reaches.  No
+    task waits for its resource, so these are the ``max`` picks and
+    ``start + duration`` adds of ``CompiledGraph._critical_path``.
+    """
+    if not works or not config.launch_mode.uses_graph or config.n_deferred:
+        return None
+    lat = config.launch_mode.launch_latency_us(machine)
+    cpu_mult, pcie_mult = ((1.0, 1.0) if perturb is None
+                           else (perturb.cpu_mult, perturb.pcie_mult))
+    head_us = works[-1].gpu_attn_us * 0.2
+    checked = [machine.gpu.graph_launch_us, head_us + lat, head_us]
+    layers = []
+    for w in works:
+        n_attn = max(1, int(w.n_gpu_kernels * config.attn_kernel_fraction))
+        attn = w.gpu_attn_us + n_attn * lat
+        checked += (w.gpu_attn_us, attn)
+        if w.cpu_routed_us <= 0.0:
+            layers.append((attn, None))
+            continue
+        xfer = pcie_transfer_time_us(w.transfer_bytes, machine.interconnect)
+        shared = w.gpu_shared_us + max(1, w.n_gpu_kernels - n_attn) * lat
+        cpu = (xfer * pcie_mult, w.cpu_routed_us * cpu_mult, shared,
+               MERGE_KERNEL_US + lat)
+        checked += (xfer, w.cpu_routed_us, w.gpu_shared_us, *cpu)
+        layers.append((attn, cpu))
+    if not all(0.0 <= d < math.inf for d in checked):
+        return None
+    launch, head = checked[:2]
+    ends, end = [], 0.0
+    for __ in range(n_steps):
+        end += launch             # the launch waits for the previous head
+        for attn, cpu in layers:
+            end = attn_end = end + attn
+            if cpu is not None:
+                xfer, imm, shared, merge = cpu
+                synced = attn_end + xfer + imm + xfer  # free submit/sync
+                done = (attn_end if config.overlap_cpu_gpu else synced
+                        ) + shared
+                end = (done if done > synced else synced) + merge
+        end += head
+        ends.append(end)
+    return ends
 
 
 @functools.lru_cache(maxsize=64)     # distinct topologies kept compiled

@@ -595,9 +595,10 @@ class ContinuousBatchingServer:
                                clock: float) -> list[_InFlight]:
         """Shed mid-prefill requests older than the decode timeout.
 
-        Their ``first_token_us`` pins to the shed time and their KV pages
-        (prefilled chunks included) free immediately.  Never fires under
-        the monolithic scheduler, where prefill completes on admission.
+        Their ``first_token_us`` pins to the shed time unless they emitted
+        before a recompute preemption, and their KV pages (prefilled chunks
+        included) free immediately.  Never fires under the monolithic
+        scheduler, where prefill completes on admission.
         """
         timeout = self._decode_timeout_us
         stalled = [a for a in active
@@ -606,7 +607,8 @@ class ContinuousBatchingServer:
             return active
         for a in stalled:
             self.faults.stats.timed_out_requests += 1
-            a.first_token_us = clock
+            if a.emitted == 0:
+                a.first_token_us = clock
             self._finish(a, clock, timed_out=True)
         gone = {id(a) for a in stalled}
         return [a for a in active if id(a) not in gone]

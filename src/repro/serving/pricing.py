@@ -12,6 +12,7 @@ built from; :class:`StepShape` is the memo key of one priced iteration.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -49,6 +50,17 @@ if TYPE_CHECKING:
 
 # How GPU-resident expert GEMMs are priced (see BatchSchedulerConfig).
 GEMM_DISPATCH_MODES = ("legacy", "per-expert", "grouped", "auto")
+
+
+@functools.lru_cache(maxsize=256)
+def _prefill_pass_us(system, preset, machine, dtype, backend,
+                     prompt_len: int) -> float:
+    """One ``run_prefill`` pass, memoized per process by value: every cost
+    model pricing the same inputs -- each fleet replica epoch builds its
+    own -- shares one simulation per bucket, and the backend and the
+    machine it applied key every entry."""
+    return run_prefill(system, preset, machine, dtype, prompt_len=prompt_len,
+                       backend=backend).elapsed_us
 
 
 def _check_gemm_dispatch(mode: str) -> None:
@@ -506,10 +518,9 @@ class BatchCostModel:
         session = self.session
         bucket = self._bucket(total_prompt_tokens, self.PREFILL_BUCKETS)
         if bucket not in self._prefill:
-            r = run_prefill(session.system, session.preset, self.machine,
-                            session.dtype, prompt_len=bucket,
-                            backend=self.backend)
-            self._prefill[bucket] = r.elapsed_us
+            self._prefill[bucket] = _prefill_pass_us(
+                session.system, session.preset, self.machine, session.dtype,
+                self.backend, bucket)
         cost = self._prefill[bucket]
         if total_prompt_tokens > self.PREFILL_BUCKETS[-1]:
             cost *= total_prompt_tokens / self.PREFILL_BUCKETS[-1]

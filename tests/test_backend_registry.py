@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import KTRANSFORMERS, batched_decode_works
+from repro.core import KTRANSFORMERS, batched_decode_works, run_prefill
 from repro.errors import ConfigError
 from repro.hw import KT_AMX, KT_AVX512, paper_testbed
 from repro.kernels import (
@@ -53,6 +53,7 @@ from repro.serving import (
     InferenceSession,
     poisson_workload,
 )
+from repro.serving import pricing
 from repro.tensor import BF16
 
 MACHINE = paper_testbed("a100")
@@ -258,6 +259,31 @@ class TestServingIntegration:
         server.replay(small_workload())
         with pytest.raises(ConfigError, match="fresh"):
             server.rebind_backend("torch-vendor")
+
+    def test_prefill_price_shared_across_cost_models_not_backends(
+            self, session, monkeypatch):
+        """Cost models pricing the same inputs (a fleet's replica epochs)
+        simulate each prefill bucket once per process; another backend
+        prices its own pass."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["backend"])
+            return run_prefill(*args, **kwargs)
+
+        monkeypatch.setattr(pricing, "run_prefill", counted)
+        pricing._prefill_pass_us.cache_clear()
+        first = BatchCostModel(session).batched_prefill_us(100)
+        assert BatchCostModel(session).batched_prefill_us(100) == first
+        assert len(calls) == 1
+        vendor = BatchCostModel(session, backend="torch-vendor")
+        price = vendor.batched_prefill_us(100)
+        assert [getattr(b, "name", b) for b in calls] == [None,
+                                                          "torch-vendor"]
+        assert price == run_prefill(
+            session.system, session.preset, vendor.machine, session.dtype,
+            prompt_len=vendor.prefill_bucket(100),
+            backend="torch-vendor").elapsed_us
 
     def test_fleet_default_backend_bit_identity(self, session):
         """A fleet pinning every replica to the default backend replays

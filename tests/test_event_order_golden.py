@@ -16,6 +16,7 @@ is timed both ways, and the tests pin which graphs are contention-free.
 import heapq
 import itertools
 import math
+import re
 from collections import deque
 from unittest import mock
 
@@ -23,10 +24,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import GraphCaptureError, SchedulingError, SimulationError
 from repro.faults import StepPerturbation
 from repro.hw import Simulator, paper_testbed
+from repro.hw.event_sim import DurationScaling
 from repro.sched import DecodeScheduleConfig, GpuExecutor, LaunchMode
-from repro.sched import multi_gpu, prefill
+from repro.sched import decode, multi_gpu, prefill
 from repro.sched.decode import (_decode_topology, _retime_decode_chain,
                                 build_decode_step)
 from repro.sched.multi_gpu import (PipelineConfig, simulate_pipelined_decode,
@@ -327,6 +330,98 @@ def test_serving_decode_topologies_take_the_critical_path(moe):
     assert (topology(n_deferred=2).preds is None) == any(moe[:-1])
     for mode in (LaunchMode.PER_KERNEL_CPP, LaunchMode.PER_KERNEL_PYTHON):
         assert (topology(mode).preds is None) == any(moe)
+
+
+# -- the per-layer recurrence of CUDA-graph steps without deferral ----------
+
+recurrence_works = st.builds(
+    DecodeLayerWork,
+    gpu_attn_us=st.one_of(st.just(0.0), st.floats(0.0, 80.0)),
+    gpu_shared_us=st.one_of(st.just(0.0), st.floats(0.0, 40.0)),
+    cpu_routed_us=st.one_of(st.just(0.0), st.floats(-5.0, 300.0)),
+    transfer_bytes=st.one_of(st.just(0.0), st.floats(1e3, 1e6)),
+    n_gpu_kernels=st.integers(1, 12),
+)
+
+scalings = st.one_of(hooks, st.builds(DurationScaling, st.floats(0.0, 4.0),
+                                      st.floats(0.0, 4.0)))
+
+
+def _graph_config(overlap=True, mode=LaunchMode.CUDA_GRAPH, n_deferred=0):
+    return DecodeScheduleConfig(launch_mode=mode, overlap_cpu_gpu=overlap,
+                                top_k=6, n_deferred=n_deferred)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(recurrence_works, min_size=1, max_size=8), st.booleans(),
+       scalings, st.integers(1, 5), st.integers(0, 3))
+def test_graph_recurrence_matches_recorded_chain(works, overlap, perturb,
+                                                 n_steps, warmup_steps):
+    machine, config = paper_testbed("a100"), _graph_config(overlap)
+    steps = warmup_steps + n_steps
+    __, ends, total, ids = _retime_decode_chain(works, config, machine, steps,
+                                                perturb)
+    heads = [ends[t] for t in ids]
+    got = decode._graph_head_ends(works, config, machine, steps, perturb)
+    assert got == heads and got[-1] == total
+    boundary = heads[warmup_steps - 1] if warmup_steps else 0.0
+    price = decode._simulated_step_us.__wrapped__(
+        tuple(works), config, machine, n_steps, warmup_steps, perturb)
+    assert price == (total - boundary) / n_steps
+
+
+_GOOD = DecodeLayerWork(30.0, 12.0, 250.0, 7168 * 4.0, 9)
+
+
+@pytest.mark.parametrize("works, perturb, error", [
+    ([_GOOD, DecodeLayerWork(-1.0, 12.0, 250.0, 1e4, 9)], None,
+     GraphCaptureError),
+    ([_GOOD, DecodeLayerWork(30.0, -1.0, 250.0, 1e4, 9)], None,
+     GraphCaptureError),
+    ([DecodeLayerWork(math.inf, 12.0, 250.0, 1e4, 9)], None, SimulationError),
+    ([_GOOD, DecodeLayerWork(30.0, 12.0, math.inf, 1e4, 9)], None,
+     SimulationError),
+    ([_GOOD, DecodeLayerWork(30.0, math.nan, 250.0, 1e4, 9)], None,
+     SimulationError),
+    ([DecodeLayerWork(30.0, 12.0, math.nan, 1e4, 9)], None, SimulationError),
+    ([_GOOD, DecodeLayerWork(30.0, 12.0, 250.0, math.inf, 9)], None,
+     SimulationError),
+    ([_GOOD], DurationScaling(1e308, 1.0), SimulationError),   # overflows
+    ([_GOOD], DurationScaling(1.0, -2.0), SimulationError),
+    ([_GOOD], DurationScaling(math.nan, 1.0), SimulationError),
+    ([], None, SchedulingError),
+])
+def test_graph_recurrence_raises_like_the_recorded_step(works, perturb,
+                                                        error):
+    """Invalid durations leave the recurrence to the recorded step, so
+    the price raises the recorder's error, message included."""
+    machine, config = paper_testbed("a100"), _graph_config()
+    assert decode._graph_head_ends(works, config, machine, 3, perturb) is None
+    with pytest.raises(error) as recorded:
+        _retime_decode_chain(works, config, machine, 3, perturb)
+    with pytest.raises(error, match=re.escape(str(recorded.value))):
+        decode._simulated_step_us.__wrapped__(tuple(works), config, machine,
+                                              1, 2, perturb)
+
+
+@pytest.mark.parametrize("config, recorded", [
+    (_graph_config(), False),
+    (_graph_config(overlap=False), False),
+    (_graph_config(n_deferred=2), True),
+    (_graph_config(mode=LaunchMode.PER_KERNEL_CPP), True),
+    (_graph_config(mode=LaunchMode.PER_KERNEL_PYTHON), True),
+])
+def test_only_graph_steps_without_deferral_skip_the_recording(config,
+                                                              recorded):
+    works = (_GOOD, DecodeLayerWork(31.0, 0.0, 0.0, 0.0, 4), _GOOD)
+    with mock.patch.object(decode, "_retime_decode_chain",
+                           wraps=decode._retime_decode_chain) as retime, \
+            mock.patch.object(decode, "_decode_topology",
+                              wraps=decode._decode_topology) as topology:
+        decode._simulated_step_us.__wrapped__(works, config,
+                                              paper_testbed("a100"), 4, 2,
+                                              None)
+    assert retime.called == topology.called == recorded
 
 
 # -- prefill chunks and multi-GPU stage graphs -------------------------------

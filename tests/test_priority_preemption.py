@@ -19,10 +19,12 @@ from repro.serving import (
     BatchCostModel,
     BatchSchedulerConfig,
     ContinuousBatchingServer,
+    GenerationRequest,
     InferenceSession,
     Priority,
     PriorityConfig,
     ResilienceConfig,
+    TimedRequest,
     poisson_workload,
 )
 
@@ -226,6 +228,30 @@ class TestPreemptionVsShedding:
         assert shed
         for t in shed:
             assert t.arrival_us <= t.start_us <= t.first_token_us <= t.finish_us
+
+    def test_recomputed_prefill_shed_keeps_first_emission(self):
+        """A recompute victim that already emitted and is mid-prefill
+        again when the decode timeout fires keeps its first emission as
+        its first token; only a request that never emitted pins to the
+        shed time."""
+        def request(prompt_len, new_tokens, arrival_us, priority):
+            return TimedRequest(arrival_us, GenerationRequest(
+                prompt=np.arange(1, prompt_len + 1),
+                max_new_tokens=new_tokens), priority)
+
+        server = ContinuousBatchingServer(
+            get_session(),
+            BatchSchedulerConfig(max_batch_size=1, prefill_chunk_tokens=8),
+            priorities=PriorityConfig(aging_us=None, mechanism="recompute"),
+            resilience=ResilienceConfig(decode_timeout_us=28e6))
+        stats = server.replay([request(64, 64, 0.0, Priority.BATCH),
+                               request(8, 4, 13e6, Priority.INTERACTIVE)])
+        assert stats.preemptions.recomputes == 1
+        (hog,) = [t for t in stats.timings if t.priority == Priority.BATCH]
+        assert hog.timed_out and 0 < hog.generated_tokens < 64
+        assert hog.first_token_us == pytest.approx(12.05e6, rel=1e-3)
+        assert hog.first_token_us < 13e6 < 28e6 < hog.finish_us
+        assert_drained(server)
 
 
 class TestPreemptionPricing:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import KTRANSFORMERS, run_decode
 from repro.errors import ConfigError
@@ -169,6 +171,52 @@ class TestBatch1Price:
         paper = run_decode(KTRANSFORMERS, preset, paper_testbed("a100"),
                            n_deferred=nd).tokens_per_s
         assert serving == pytest.approx(paper, rel=1e-3)
+
+
+_LINDLEY_SESSIONS: dict = {}
+
+
+def _lindley_session(preset, n_deferred):
+    key = (preset.name, n_deferred)
+    if key not in _LINDLEY_SESSIONS:
+        _LINDLEY_SESSIONS[key] = InferenceSession(
+            MoETransformer(tiny_config("tiny-qw", top_k=6)), preset,
+            n_deferred=n_deferred)
+    return _LINDLEY_SESSIONS[key]
+
+
+@settings(max_examples=20, deadline=None)
+@given(preset=st.sampled_from([DS3, DS2, QW2]),
+       n_deferred=st.sampled_from([0, 2]), rho=st.floats(0.3, 2.0),
+       shapes=st.lists(st.tuples(st.integers(1, 300), st.integers(1, 8)),
+                       min_size=2, max_size=12),
+       seed=st.integers(0, 2**16))
+def test_batch1_fifo_is_a_lindley_queue(preset, n_deferred, rho, shapes,
+                                        seed):
+    """Batch-1 FIFO serving is a single-server queue: each request starts
+    at ``max(arrival, previous start + S)`` and finishes ``S_i`` later,
+    ``S`` being a request's service time when served alone."""
+    session = _lindley_session(preset, n_deferred)
+    requests = [GenerationRequest(np.arange(p) % 60 + 1, max_new_tokens=n)
+                for p, n in shapes]
+    service = []
+    for req in requests:
+        alone, = batch1(session).replay([TimedRequest(0.0, req)]).timings
+        service.append(alone.finish_us - alone.start_us)
+    gaps = np.random.default_rng(seed).exponential(
+        np.mean(service) / rho, len(requests))
+    arrivals = [float(a) for a in np.cumsum(gaps)]
+    timings = batch1(session).replay(
+        [TimedRequest(a, r) for a, r in zip(arrivals, requests)]).timings
+    assert len(timings) == len(requests)
+    start = -np.inf
+    for t, arrival, s, prev in zip(
+            sorted(timings, key=lambda t: t.arrival_us), arrivals, service,
+            [0.0] + service):
+        start = max(arrival, start + prev)
+        assert t.arrival_us == arrival
+        assert t.start_us == pytest.approx(start, rel=1e-9)
+        assert t.finish_us == pytest.approx(start + s, rel=1e-9)
 
 
 class TestBatch1Server:
