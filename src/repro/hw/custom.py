@@ -24,8 +24,6 @@ Unspecified fields fall back to the paper-testbed defaults.
 
 from __future__ import annotations
 
-import yaml
-
 from ..errors import ConfigError
 from .spec import (
     PCIE4_X16,
@@ -93,6 +91,7 @@ def machine_from_dict(doc: dict) -> MachineSpec:
 
 def load_machine(path: str) -> MachineSpec:
     """Read a machine-spec YAML file."""
+    import yaml     # only machine files need it: keep it out of `import repro`
     with open(path, "r", encoding="utf-8") as f:
         try:
             doc = yaml.safe_load(f)

@@ -20,8 +20,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-import yaml
-
 from ..errors import InjectionError
 from ..model.modules import Module
 
@@ -93,6 +91,7 @@ class InjectionRule:
 
 def parse_rules(text: str) -> list[InjectionRule]:
     """Parse a YAML rule document into :class:`InjectionRule` objects."""
+    import yaml     # only rule files need it: keep it out of `import repro`
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:

@@ -147,6 +147,7 @@ class PagedKVPool:
         # contiguous arrays captured at swap-out time.
         self._swapped: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._allocated_pages = 0
+        self._used = 0              # tokens across live slots
         self._next_slot = 0
 
     # -- capacity accounting ------------------------------------------------
@@ -163,7 +164,7 @@ class PagedKVPool:
     @property
     def used_tokens(self) -> int:
         """Tokens currently stored across every live slot."""
-        return sum(sum(p.used for p in pages) for pages in self._slots.values())
+        return self._used
 
     @property
     def n_slots(self) -> int:
@@ -190,6 +191,7 @@ class PagedKVPool:
         """Close a slot, returning all of its pages to the free list."""
         pages = self._slots.pop(self._checked(slot))
         for page in pages:
+            self._used -= page.used
             page.used = 0
             self._free.append(page)
         self._allocated_pages -= len(pages)
@@ -282,7 +284,7 @@ class PagedKVPool:
 
     def append(self, slot: int, k: np.ndarray, v: np.ndarray) -> None:
         """Append K/V rows to ``slot``, growing it by whole pages as needed."""
-        pages = self._slots[self._checked(slot)]
+        self._checked(slot)
         k = np.asarray(k, dtype=np.float32)
         v = np.asarray(v, dtype=np.float32)
         expected = (k.shape[0], self.n_heads, self.head_dim)
@@ -290,24 +292,33 @@ class PagedKVPool:
             raise ConfigError(
                 f"pool append shape {k.shape}/{v.shape}, expected {expected}"
             )
-        n, done = k.shape[0], 0
-        while done < n:                 # one slice per page touched
+        self._extend(slot, k.shape[0], k, v)
+
+    def append_placeholder(self, slot: int, n_tokens: int) -> None:
+        """Reserve ``n_tokens`` of zero K/V (occupancy tracking only)."""
+        if n_tokens > 0:
+            self._extend(self._checked(slot), n_tokens)
+
+    def _extend(self, slot: int, n: int, k: np.ndarray | None = None,
+                v: np.ndarray | None = None) -> None:
+        """Grow ``slot`` by ``n`` rows of ``k``/``v`` (zeros if None),
+        one slice per page touched; recycled pages are overwritten."""
+        pages = self._slots[slot]
+        done = 0
+        while done < n:
             page = pages[-1] if pages else self._grow(slot)
             if page.used == self.page_tokens:
                 page = self._grow(slot)
             take = min(self.page_tokens - page.used, n - done)
-            page.keys[page.used:page.used + take] = k[done:done + take]
-            page.values[page.used:page.used + take] = v[done:done + take]
+            rows = slice(page.used, page.used + take)
+            if k is None:
+                page.keys[rows] = page.values[rows] = 0.0
+            else:
+                page.keys[rows] = k[done:done + take]
+                page.values[rows] = v[done:done + take]
             page.used += take
+            self._used += take
             done += take
-
-    def append_placeholder(self, slot: int, n_tokens: int) -> None:
-        """Reserve ``n_tokens`` of zero K/V (occupancy tracking only)."""
-        if n_tokens <= 0:
-            return
-        shape = (n_tokens, self.n_heads, self.head_dim)
-        zeros = np.zeros(shape, dtype=np.float32)
-        self.append(slot, zeros, zeros)
 
     def tokens(self, slot: int) -> int:
         return sum(p.used for p in self._slots[self._checked(slot)])

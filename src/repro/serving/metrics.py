@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from ..errors import ConfigError
 from .prefix_cache import SessionStats
@@ -64,20 +63,41 @@ class RequestTiming:
         return self.finish_us - self.arrival_us
 
 
-def percentile(values: list[float], pct: float) -> float:
-    """The ``pct``-th percentile of ``values`` (errors on empty input)."""
+def _sorted(values: list[float]) -> list[float] | None:
+    """``values`` sorted as floats; None if any is NaN (errors on empty)."""
     if not values:
         raise ConfigError("no values to summarize")
-    return float(np.percentile(np.asarray(values, dtype=np.float64), pct))
+    xs = sorted(map(float, values))
+    return None if any(map(math.isnan, xs)) else xs
+
+
+def _linear(xs: list[float], pct: float) -> float:
+    """numpy's default ``"linear"`` percentile of sorted ``xs``, in its
+    float order, so the result equals ``np.percentile``'s bit for bit."""
+    if not 0 <= pct <= 100:
+        raise ConfigError(f"percentile {pct} outside [0, 100]")
+    last = len(xs) - 1
+    virtual = last * (pct / 100)
+    lo = math.floor(virtual)        # <= last, as pct / 100 <= 1
+    gamma = virtual - lo
+    a, b = xs[lo], xs[min(lo + 1, last)]
+    if gamma >= 0.5:
+        return b - (b - a) * (1 - gamma)
+    return a + (b - a) * gamma
+
+
+def percentile(values: list[float], pct: float) -> float:
+    """The ``pct``-th percentile of ``values``, as ``np.percentile``
+    computes it (NaN if any value is NaN; errors on empty input)."""
+    xs = _sorted(values)
+    return math.nan if xs is None else _linear(xs, pct)
 
 
 def percentiles(values: list[float]) -> dict[str, float]:
-    """p50/p95/p99 of ``values`` in one pass (errors on empty input)."""
-    if not values:
-        raise ConfigError("no values to summarize")
-    arr = np.asarray(values, dtype=np.float64)
-    p50, p95, p99 = np.percentile(arr, (50, 95, 99))
-    return {"p50": float(p50), "p95": float(p95), "p99": float(p99)}
+    """p50/p95/p99 of ``values`` over one sort (see :func:`percentile`)."""
+    xs = _sorted(values)
+    return {f"p{p}": math.nan if xs is None else _linear(xs, p)
+            for p in (50, 95, 99)}
 
 
 class RollingWindow:

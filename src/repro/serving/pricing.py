@@ -63,6 +63,21 @@ def _prefill_pass_us(system, preset, machine, dtype, backend,
                        backend=backend).elapsed_us
 
 
+@functools.lru_cache(maxsize=256)
+def _decode_works(system, preset, machine, dtype, backend,
+                  ari_threshold: int | None, batch: int, ctx: int
+                  ) -> tuple[tuple[DecodeLayerWork, ...],
+                             BatchedDispatchSummary]:
+    """Base decode works of ``batch`` requests at context ``ctx``,
+    memoized per process by value like :func:`_prefill_pass_us`; the
+    works come back as a tuple, so no cost model can change a shared
+    entry."""
+    works, summary = batched_decode_works(
+        system, preset, machine, dtype, context_lens=[ctx] * batch,
+        ari_threshold=ari_threshold, backend=backend)
+    return tuple(works), summary
+
+
 def _check_gemm_dispatch(mode: str) -> None:
     if mode not in GEMM_DISPATCH_MODES:
         raise ConfigError(
@@ -216,11 +231,9 @@ class BatchCostModel:
         self.pipeline_stages = pipeline_stages
         self._pipeline = (PipelineConfig(pipeline_stages)
                           if pipeline_stages > 1 else None)
-        # Base decode and marginal chunk layer works (with their ARI
-        # dispatch summaries), keyed by (batch, context bucket) and
-        # (batch, chunk bucket).
-        self._decode: dict[tuple[int, int], tuple[
-            list[DecodeLayerWork], BatchedDispatchSummary]] = {}
+        # Marginal chunk layer works (with their ARI dispatch summaries),
+        # keyed by (batch, chunk bucket); base decode works are shared
+        # per process (_decode_works).
         self._chunks: dict[tuple[int, int], tuple[
             list[HybridChunkWork], BatchedDispatchSummary]] = {}
         # Every priced shape's layer works, and its simulated price per
@@ -307,16 +320,11 @@ class BatchCostModel:
 
     def _decode_layers(
         self, batch: int, ctx: int,
-    ) -> tuple[list[DecodeLayerWork], BatchedDispatchSummary]:
-        key = (batch, ctx)
-        if key not in self._decode:
-            session = self.session
-            self._decode[key] = batched_decode_works(
-                session.system, session.preset, self.machine, session.dtype,
-                context_lens=[ctx] * batch, ari_threshold=self.ari_threshold,
-                backend=self.backend,
-            )
-        return self._decode[key]
+    ) -> tuple[tuple[DecodeLayerWork, ...], BatchedDispatchSummary]:
+        session = self.session
+        return _decode_works(session.system, session.preset, self.machine,
+                             session.dtype, self.backend, self.ari_threshold,
+                             batch, ctx)
 
     def _chunk_layers(
         self, batch: int, chunk: int,
@@ -374,7 +382,7 @@ class BatchCostModel:
                 for w in self._decode_layers(batch, ctx)[0]
             ]
         else:       # cache not consulted, or idle: the plain decode graph
-            works = self._decode_layers(batch, ctx)[0]
+            works = list(self._decode_layers(batch, ctx)[0])
         self._works[shape] = works
         return works
 

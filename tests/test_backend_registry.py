@@ -285,6 +285,30 @@ class TestServingIntegration:
             prompt_len=vendor.prefill_bucket(100),
             backend="torch-vendor").elapsed_us
 
+    def test_decode_works_shared_across_cost_models_not_backends(
+            self, session, monkeypatch):
+        """Cost models pricing the same inputs build each base decode
+        shape once per process; another backend or ARI threshold builds
+        its own, and the shared works are a tuple no model can change."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append((getattr(kwargs["backend"], "name", None),
+                          kwargs["ari_threshold"]))
+            return batched_decode_works(*args, **kwargs)
+
+        monkeypatch.setattr(pricing, "batched_decode_works", counted)
+        pricing._decode_works.cache_clear()
+        first = BatchCostModel(session).decode_step_us([64] * 4)
+        second = BatchCostModel(session)
+        assert second.decode_step_us([64] * 4) == first
+        assert calls == [(None, None)]
+        BatchCostModel(session, backend="torch-vendor").decode_step_us(
+            [64] * 4)
+        BatchCostModel(session, ari_threshold=2).decode_step_us([64] * 4)
+        assert calls == [(None, None), ("torch-vendor", None), (None, 2)]
+        assert isinstance(second._decode_layers(4, 64)[0], tuple)
+
     def test_fleet_default_backend_bit_identity(self, session):
         """A fleet pinning every replica to the default backend replays
         bit-for-bit like one with no backends configured."""

@@ -2,12 +2,21 @@
 
 Every path must either return a finite value or raise the typed
 ``ConfigError`` -- never crash with an unhandled exception, divide by
-zero, or emit NaN/inf.
+zero, or emit NaN/inf from finite input.  The percentile helpers are
+also checked against ``np.percentile``, NaN and inf inputs included.
 """
 
 import math
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.serving import (
@@ -50,6 +59,81 @@ class TestPercentileEdges:
     def test_all_identical(self):
         p = percentiles([3.0] * 100)
         assert p["p50"] == p["p95"] == p["p99"] == 3.0
+
+    def test_nan_input_gives_nan(self):
+        assert math.isnan(percentile([1.0, math.nan, 2.0], 50))
+        assert all(math.isnan(v) for v in percentiles([math.nan]).values())
+
+    def test_pct_outside_range_raises_typed_error(self):
+        for pct in (-1, 101, math.nan):
+            with pytest.raises(ConfigError):
+                percentile([1.0, 2.0], pct)
+
+
+@st.composite
+def _samples(draw):
+    """1-300 values drawn from a small pool: duplicates, negatives, and
+    sometimes +-inf or NaN."""
+    pool = draw(st.lists(st.one_of(st.floats(-1e9, 1e9),
+                                   st.integers(-50, 50).map(float)),
+                         min_size=1, max_size=20))
+    pool += draw(st.lists(st.sampled_from([math.inf, -math.inf, math.nan]),
+                          max_size=2))
+    n = draw(st.integers(1, 300))
+    return draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+
+
+_PCTS = st.one_of(st.sampled_from([0, 50, 95, 99, 100]), st.floats(0, 100))
+
+
+def _np_percentile(values, pct):
+    with np.errstate(invalid="ignore"):     # inf - inf, as the pure path
+        return np.percentile(np.asarray(values, dtype=np.float64), pct)
+
+
+def _same(got, want) -> bool:
+    """Equal bit for bit; NaN matches NaN, and a zero result matches
+    either sign (numpy's partition leaves +-0.0 in unspecified order)."""
+    want = float(want)
+    if math.isnan(got) or math.isnan(want):
+        return math.isnan(got) and math.isnan(want)
+    if got == 0.0:
+        return want == 0.0
+    return struct.pack("<d", got) == struct.pack("<d", want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=_samples(), pct=_PCTS)
+def test_percentile_equals_numpy_bit_for_bit(values, pct):
+    assert _same(percentile(values, pct), _np_percentile(values, pct))
+    want = _np_percentile(values, (50, 95, 99))
+    got = percentiles(values)
+    assert all(_same(got[k], w) for k, w in zip(("p50", "p95", "p99"), want))
+
+
+def test_serving_loop_imports_neither_numpy_ma_nor_yaml():
+    """A replay and its summary stay off ``numpy.ma`` (which the first
+    ``np.percentile`` call imported) and PyYAML (only rule and machine
+    files need it), in a fresh interpreter."""
+    code = """
+import sys
+from repro.model import DS3, MoETransformer, tiny_config
+from repro.serving import (BatchSchedulerConfig, ContinuousBatchingServer,
+                           InferenceSession, ServingSLO, poisson_workload)
+session = InferenceSession(MoETransformer(tiny_config("tiny-qw", top_k=2)),
+                           DS3)
+server = ContinuousBatchingServer(session, BatchSchedulerConfig(
+    kv_budget_tokens=4096, max_batch_size=16))
+stats = server.replay(poisson_workload(24, 6e6, 32, 12, 64, seed=1))
+stats.summary()
+stats.goodput(ServingSLO(6_000.0, 1_500.0))
+print(sorted({"numpy.ma", "yaml"} & set(sys.modules)))
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
 
 
 class TestServingStatsEdges:

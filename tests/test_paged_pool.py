@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError, KVCacheError
 from repro.model import PagedKVCache, PagedKVPool
@@ -366,3 +368,82 @@ class TestSwapLifecycle:
         assert pool.swap_out(s) == 0
         new = pool.swap_in(s)
         assert pool.tokens(new) == 0
+
+
+class TestOccupancyCounter:
+    """``used_tokens`` is a running counter; placeholders write zeros."""
+
+    def test_placeholder_on_recycled_page_reads_zeros(self):
+        pool = PagedKVPool(n_heads=2, head_dim=4, budget_tokens=16,
+                           page_tokens=8)
+        s = pool.allocate()
+        pool.append(s, *_rows(np.random.default_rng(0), 16))
+        pool.free(s)
+        s = pool.allocate()
+        pool.append_placeholder(s, 11)
+        assert pool.used_tokens == 11
+        assert not pool.keys(s).any() and not pool.values(s).any()
+
+
+_OPS = st.lists(st.tuples(
+    st.sampled_from(["allocate", "append", "placeholder", "free",
+                     "swap_out", "swap_in", "discard"]),
+    st.integers(0, 7), st.integers(0, 13)), max_size=60)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_OPS)
+def test_used_tokens_tracks_live_slots(ops):
+    """Random slot lifecycles against a reference of every slot's rows:
+    after each step ``used_tokens`` equals the live slots' token sum and
+    each slot reads back its rows -- placeholder rows as zeros, also on
+    pages recycled from real appends."""
+    pool = PagedKVPool(n_heads=1, head_dim=2, budget_tokens=32,
+                       page_tokens=4)
+    live: dict[int, np.ndarray] = {}       # slot -> expected keys
+    swapped: dict[int, np.ndarray] = {}
+    counter = 0
+    for op, pick, n in ops:
+        slots, stashed = sorted(live), sorted(swapped)
+        slot = slots[pick % len(slots)] if slots else None
+        if op == "allocate" or (slot is None and op in (
+                "append", "placeholder", "free", "swap_out")):
+            live[pool.allocate()] = np.zeros((0, 1, 2), np.float32)
+        elif op in ("append", "placeholder"):
+            if op == "append":      # distinct non-zero rows
+                rows = (np.arange(counter, counter + 2 * n, dtype=np.float32)
+                        .reshape(n, 1, 2) + 1)
+                counter += 2 * n
+            else:
+                rows = np.zeros((n, 1, 2), np.float32)
+            before = pool.tokens(slot)
+            try:
+                if op == "append":
+                    pool.append(slot, rows, -rows)
+                else:
+                    pool.append_placeholder(slot, n)
+            except KVCacheError:    # budget ran out part-way
+                pass
+            live[slot] = np.concatenate(
+                [live[slot], rows[:pool.tokens(slot) - before]])
+        elif op == "free":
+            pool.free(slot)
+            del live[slot]
+        elif op == "swap_out":
+            assert pool.swap_out(slot) == len(live[slot])
+            swapped[slot] = live.pop(slot)
+        elif stashed:
+            old = stashed[pick % len(stashed)]
+            if op == "discard":
+                pool.discard_swapped(old)
+                del swapped[old]
+            elif pool.can_fit(len(swapped[old])):
+                live[pool.swap_in(old)] = swapped.pop(old)
+            else:
+                with pytest.raises(KVCacheError):
+                    pool.swap_in(old)
+        assert pool.used_tokens == sum(pool.tokens(s) for s in live)
+        for s, want in live.items():
+            assert pool.tokens(s) == len(want)
+            np.testing.assert_array_equal(pool.keys(s), want)
+            np.testing.assert_array_equal(pool.values(s), -want)
