@@ -5,7 +5,8 @@ framework enables.  This module provides the functional substrate: a
 vLLM-style paged cache whose pages can live on the GPU or be *offloaded*
 to host memory.  Attention math is identical wherever pages live (tested
 against the contiguous cache); placement only changes the simulated cost
-(see :mod:`repro.sched.kv_offload`).
+(see :mod:`repro.sched.kv_offload`).  :class:`PagedKVPool` is the
+serving engine's page accountant over the same page size.
 """
 
 from __future__ import annotations
@@ -114,41 +115,36 @@ class PagedKVCache:
 
 
 class PagedKVPool:
-    """A fixed-budget page pool shared by multiple concurrent request slots.
+    """A fixed-budget page accountant shared by concurrent request slots.
 
     This is the serving-engine view of paged attention: one physical page
     budget (the GPU KV/VRAM allowance) backs any number of logical request
-    *slots*.  Each slot grows page-by-page as its sequence extends; freeing
-    a slot returns its pages to the free list for the next admission.
+    *slots*.  A slot is a token count holding ``pages_needed(tokens)``
+    whole pages -- the engine prices KV occupancy and transfers but never
+    reads K/V back (attention over real K/V uses :class:`PagedKVCache`).
     Exhausting the budget raises :class:`~repro.errors.KVCacheError`, which
     the continuous-batching scheduler treats as "stop admitting".
-
-    Gather semantics per slot are identical to :class:`PagedKVCache` (and
-    are tested against it).
     """
 
-    def __init__(self, n_heads: int, head_dim: int, budget_tokens: int,
+    def __init__(self, budget_tokens: int,
                  page_tokens: int = DEFAULT_PAGE_TOKENS) -> None:
-        if n_heads <= 0 or head_dim <= 0 or page_tokens <= 0:
-            raise ConfigError("pool dimensions must be positive")
+        if page_tokens <= 0:
+            raise ConfigError("page_tokens must be positive")
         if budget_tokens < page_tokens:
             raise ConfigError(
                 f"budget_tokens={budget_tokens} smaller than one page "
                 f"({page_tokens} tokens)"
             )
-        self.n_heads = n_heads
-        self.head_dim = head_dim
         self.page_tokens = page_tokens
         self.budget_pages = budget_tokens // page_tokens
         self.budget_tokens = self.budget_pages * page_tokens
-        self._free: list[Page] = []
-        self._slots: dict[int, list[Page]] = {}
-        # Host-side stash of preempted slots: slot id -> (keys, values)
-        # contiguous arrays captured at swap-out time.
-        self._swapped: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._slots: dict[int, int] = {}        # live slot -> tokens
+        self._swapped: dict[int, int] = {}      # host-stashed slot -> tokens
         self._allocated_pages = 0
         self._used = 0              # tokens across live slots
         self._next_slot = 0
+        #: Mutating calls (append, free, swap) -- one O(1) update each.
+        self.page_ops = 0
 
     # -- capacity accounting ------------------------------------------------
 
@@ -184,29 +180,52 @@ class PagedKVPool:
         """Open a new (empty) request slot and return its id."""
         slot = self._next_slot
         self._next_slot += 1
-        self._slots[slot] = []
+        self._slots[slot] = 0
         return slot
+
+    def tokens(self, slot: int) -> int:
+        """Tokens held by live ``slot``."""
+        try:
+            return self._slots[slot]
+        except KeyError:
+            raise KVCacheError(f"slot {slot} is not allocated") from None
 
     def free(self, slot: int) -> None:
-        """Close a slot, returning all of its pages to the free list."""
-        pages = self._slots.pop(self._checked(slot))
-        for page in pages:
-            self._used -= page.used
-            page.used = 0
-            self._free.append(page)
-        self._allocated_pages -= len(pages)
+        """Close a slot, returning all of its pages to the budget."""
+        held = self.tokens(slot)
+        del self._slots[slot]
+        self._used -= held
+        self._allocated_pages -= self.pages_needed(held)
+        self.page_ops += 1
 
-    def _checked(self, slot: int) -> int:
-        if slot not in self._slots:
-            raise KVCacheError(f"slot {slot} is not allocated")
-        return slot
+    def append_placeholder(self, slot: int, n_tokens: int) -> None:
+        """Grow ``slot`` by ``n_tokens``, claiming whole pages as needed.
+
+        Checks the budget before it changes anything: a refused append
+        raises :class:`~repro.errors.KVCacheError` and leaves the slot,
+        ``used_tokens`` and ``free_pages`` as they were.
+        """
+        if n_tokens <= 0:
+            return
+        held = self.tokens(slot)
+        page = self.page_tokens
+        grow = (held + n_tokens + page - 1) // page - (held + page - 1) // page
+        if grow > self.free_pages:
+            raise KVCacheError(
+                f"KV page budget exhausted: {self.budget_pages} pages "
+                f"({self.budget_tokens} tokens) across {self.n_slots} slots"
+            )
+        self._slots[slot] = held + n_tokens
+        self._allocated_pages += grow
+        self._used += n_tokens
+        self.page_ops += 1
 
     # -- preemption: swap-out / swap-in lifecycle ----------------------------
 
     @property
     def swapped_tokens(self) -> int:
         """Tokens currently stashed in host memory across swapped slots."""
-        return sum(k.shape[0] for k, _ in self._swapped.values())
+        return sum(self._swapped.values())
 
     @property
     def n_swapped(self) -> int:
@@ -215,22 +234,14 @@ class PagedKVPool:
     def swap_out(self, slot: int) -> int:
         """Offload ``slot``'s KV to host memory, freeing its GPU pages.
 
-        The slot id survives as a *swapped* handle: the contiguous K/V
-        contents are stashed host-side, every page returns to the free
-        list, and the slot leaves the live set (``free`` on it raises --
-        pages can only ever be released once).  Returns the number of
-        tokens offloaded.  The serving scheduler prices the transfer
-        separately (see ``BatchCostModel.swap_transfer_us``); the pool
-        only tracks placement.
+        The slot id survives as a *swapped* handle holding its token
+        count; ``free`` on it raises, so pages are released exactly once.
+        Returns the tokens offloaded (``BatchCostModel`` prices them).
         """
-        self._checked(slot)
-        if slot in self._swapped:
-            raise KVCacheError(f"slot {slot} is already swapped out")
-        keys = self._gather(slot, "keys")
-        values = self._gather(slot, "values")
+        n = self.tokens(slot)
         self.free(slot)
-        self._swapped[slot] = (keys, values)
-        return keys.shape[0]
+        self._swapped[slot] = n
+        return n
 
     def _checked_swapped(self, slot: int) -> int:
         if slot not in self._swapped:
@@ -242,96 +253,20 @@ class PagedKVPool:
 
         Raises :class:`~repro.errors.KVCacheError` if the pool cannot hold
         the stashed tokens (the caller must re-check capacity before
-        resuming, exactly like a fresh admission).  The old slot id is
-        retired; attention state is bit-identical to before the swap
-        (tested against :meth:`keys`/:meth:`values` round-trips).
+        resuming, exactly like a fresh admission); the stash survives a
+        refused swap-in.  The old slot id is retired.
         """
-        self._checked_swapped(slot)
-        keys, values = self._swapped[slot]
-        if not self.can_fit(keys.shape[0]):
+        n = self._swapped[self._checked_swapped(slot)]
+        if not self.can_fit(n):
             raise KVCacheError(
                 f"cannot swap in slot {slot}: needs "
-                f"{self.pages_needed(keys.shape[0])} pages, "
-                f"{self.free_pages} free"
+                f"{self.pages_needed(n)} pages, {self.free_pages} free"
             )
         del self._swapped[slot]
         new_slot = self.allocate()
-        if keys.shape[0]:
-            self.append(new_slot, keys, values)
+        self.append_placeholder(new_slot, n)
         return new_slot
 
     def discard_swapped(self, slot: int) -> None:
         """Drop a swapped slot's host stash (the request was shed)."""
         del self._swapped[self._checked_swapped(slot)]
-
-    def _grow(self, slot: int) -> Page:
-        if self._allocated_pages >= self.budget_pages:
-            raise KVCacheError(
-                f"KV page budget exhausted: {self.budget_pages} pages "
-                f"({self.budget_tokens} tokens) across {self.n_slots} slots"
-            )
-        if self._free:
-            page = self._free.pop()
-        else:
-            shape = (self.page_tokens, self.n_heads, self.head_dim)
-            page = Page(keys=np.zeros(shape, dtype=np.float32),
-                        values=np.zeros(shape, dtype=np.float32))
-        self._allocated_pages += 1
-        self._slots[slot].append(page)
-        return page
-
-    # -- data path ----------------------------------------------------------
-
-    def append(self, slot: int, k: np.ndarray, v: np.ndarray) -> None:
-        """Append K/V rows to ``slot``, growing it by whole pages as needed."""
-        self._checked(slot)
-        k = np.asarray(k, dtype=np.float32)
-        v = np.asarray(v, dtype=np.float32)
-        expected = (k.shape[0], self.n_heads, self.head_dim)
-        if k.shape != expected or v.shape != expected:
-            raise ConfigError(
-                f"pool append shape {k.shape}/{v.shape}, expected {expected}"
-            )
-        self._extend(slot, k.shape[0], k, v)
-
-    def append_placeholder(self, slot: int, n_tokens: int) -> None:
-        """Reserve ``n_tokens`` of zero K/V (occupancy tracking only)."""
-        if n_tokens > 0:
-            self._extend(self._checked(slot), n_tokens)
-
-    def _extend(self, slot: int, n: int, k: np.ndarray | None = None,
-                v: np.ndarray | None = None) -> None:
-        """Grow ``slot`` by ``n`` rows of ``k``/``v`` (zeros if None),
-        one slice per page touched; recycled pages are overwritten."""
-        pages = self._slots[slot]
-        done = 0
-        while done < n:
-            page = pages[-1] if pages else self._grow(slot)
-            if page.used == self.page_tokens:
-                page = self._grow(slot)
-            take = min(self.page_tokens - page.used, n - done)
-            rows = slice(page.used, page.used + take)
-            if k is None:
-                page.keys[rows] = page.values[rows] = 0.0
-            else:
-                page.keys[rows] = k[done:done + take]
-                page.values[rows] = v[done:done + take]
-            page.used += take
-            self._used += take
-            done += take
-
-    def tokens(self, slot: int) -> int:
-        return sum(p.used for p in self._slots[self._checked(slot)])
-
-    def keys(self, slot: int) -> np.ndarray:
-        return self._gather(slot, "keys")
-
-    def values(self, slot: int) -> np.ndarray:
-        return self._gather(slot, "values")
-
-    def _gather(self, slot: int, field: str) -> np.ndarray:
-        pages = self._slots[self._checked(slot)]
-        if not pages:
-            return np.zeros((0, self.n_heads, self.head_dim), dtype=np.float32)
-        parts = [getattr(p, field)[:p.used] for p in pages]
-        return np.concatenate(parts, axis=0)

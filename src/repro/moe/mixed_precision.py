@@ -18,14 +18,16 @@ implements the static variant:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import ConfigError
-from ..model.modules import Module
-from ..model.moe_layer import ExpertModule, ModuleList, MoEBlock
 from ..tensor.dtypes import BF16, INT4, INT8, DType
 from ..tensor.layout import pack_matrix, unpack_matrix
+
+if TYPE_CHECKING:   # model imports moe at package level
+    from ..model.moe_layer import MoEBlock
 
 # Upgrade ladder: everything starts at Int4; budget buys upgrades.
 PRECISION_LADDER: tuple[DType, ...] = (INT4, INT8, BF16)
@@ -130,6 +132,9 @@ def apply_mixed_precision(block: MoEBlock,
     Raw weights are shared with the original block; only the packed
     representations differ, so the swap is cheap and reversible.
     """
+    from ..model.modules import Module
+    from ..model.moe_layer import ExpertModule, ModuleList, MoEBlock
+
     if len(assignment.dtypes) != block.n_experts:
         raise ConfigError(
             f"{len(assignment.dtypes)} dtypes for {block.n_experts} experts"

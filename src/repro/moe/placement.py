@@ -17,11 +17,14 @@ implements that pipeline:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import ConfigError
-from ..model.transformer import MoETransformer
+
+if TYPE_CHECKING:   # model imports moe at package level
+    from ..model.transformer import MoETransformer
 
 
 def profile_expert_popularity(

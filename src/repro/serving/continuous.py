@@ -196,12 +196,8 @@ class ContinuousBatchingServer:
         self.session = session
         self.config = config or BatchSchedulerConfig()
         self.costs = self._make_costs()
-        # The pool tracks token occupancy only; K/V payloads stay tiny.
-        self.pool = PagedKVPool(
-            n_heads=1, head_dim=1,
-            budget_tokens=self.config.kv_budget_tokens,
-            page_tokens=self.config.page_tokens,
-        )
+        self.pool = PagedKVPool(self.config.kv_budget_tokens,
+                                self.config.page_tokens)
         self.expert_cache = expert_cache
         self._routing_stream = routing_stream
         self.fault_injector = fault_injector

@@ -41,6 +41,7 @@ Structural invariants (fuzz-tested in ``tests/test_prefix_cache.py``):
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -187,7 +188,7 @@ class _Node:
     """One radix-tree node owning a page-aligned span of prompt tokens."""
 
     __slots__ = ("tokens", "parent", "children", "slot", "on_gpu", "refs",
-                 "last_use_us", "order")
+                 "last_use_us", "order", "gpu_kids")
 
     def __init__(self, tokens: tuple, parent: "_Node | None",
                  on_gpu: bool = True, refs: int = 0,
@@ -200,6 +201,7 @@ class _Node:
         self.refs = refs
         self.last_use_us = last_use_us
         self.order = order
+        self.gpu_kids = 0       # children with on_gpu set
 
 
 class RadixPrefixCache:
@@ -209,7 +211,10 @@ class RadixPrefixCache:
     :meth:`acquire` / :meth:`release` / :meth:`insert` /
     :meth:`evict_pages` / :meth:`park_idle`, each deterministic given
     the call sequence (LRU ties break on a monotone insertion order),
-    so a replayed workload reproduces the tree bit-for-bit.
+    so a replayed workload reproduces the tree bit-for-bit.  Park, evict
+    and drop candidates come from lazy-deletion min-heaps keyed
+    ``(last_use_us, order)``: the *GPU frontier* (unreferenced GPU nodes
+    with no GPU child) and the childless host nodes.
     """
 
     def __init__(self, pool: PagedKVPool,
@@ -224,6 +229,11 @@ class RadixPrefixCache:
         self._gpu_tokens = 0
         self._host_tokens = 0
         self._total_refs = 0
+        self._n_nodes = 0
+        self._frontier: list = []
+        self._host_leaves: list = []
+        #: Radix-node visits: heap tops, index checks and compacted entries.
+        self.node_visits = 0
         # Cumulative insert/evict/park traffic lands here directly.
         self.stats = SessionStats()
 
@@ -252,15 +262,7 @@ class RadixPrefixCache:
     @property
     def n_nodes(self) -> int:
         """Number of nodes in the tree (root excluded)."""
-        return sum(1 for _ in self._iter_nodes())
-
-    def _iter_nodes(self):
-        """Depth-first iteration over every non-root node."""
-        stack = list(self._root.children.values())
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(node.children.values())
+        return self._n_nodes
 
     # -- matching ------------------------------------------------------------
 
@@ -280,10 +282,13 @@ class RadixPrefixCache:
         return self._floor_page(len(tokens) - 1)
 
     @staticmethod
-    def _common_len(a: tuple, b: tuple) -> int:
-        n = min(len(a), len(b))
+    def _common_len(span: tuple, tokens: tuple, pos: int) -> int:
+        """Common prefix length of ``span`` and ``tokens[pos:]``."""
+        n = min(len(span), len(tokens) - pos)
+        if span[:n] == tokens[pos:pos + n]:
+            return n
         for i in range(n):
-            if a[i] != b[i]:
+            if span[i] != tokens[pos + i]:
                 return i
         return n
 
@@ -302,7 +307,7 @@ class RadixPrefixCache:
             child = node.children.get(tokens[pos:pos + self.page_tokens])
             if child is None:
                 break
-            take = self._common_len(child.tokens, tokens[pos:])
+            take = self._common_len(child.tokens, tokens, pos)
             usable = min(self._floor_page(take), cap - pos)
             if usable == 0:
                 break
@@ -332,7 +337,7 @@ class RadixPrefixCache:
             child = node.children.get(tokens[pos:pos + self.page_tokens])
             if child is None:
                 break
-            take = self._common_len(child.tokens, tokens[pos:])
+            take = self._common_len(child.tokens, tokens, pos)
             usable = min(self._floor_page(take), cap - pos)
             if usable == 0:
                 break
@@ -372,6 +377,7 @@ class RadixPrefixCache:
             child.refs -= 1
             self._total_refs -= 1
             child.last_use_us = max(child.last_use_us, now)
+            self._index(child)
             pos += len(child.tokens)
             node = child
 
@@ -399,7 +405,10 @@ class RadixPrefixCache:
         node.tokens = node.tokens[offset:]
         node.parent = front
         node.order = self._next_order()
+        self._index(node)
         front.children = {node.tokens[:self.page_tokens]: node}
+        front.gpu_kids = int(node.on_gpu)
+        self._n_nodes += 1
         if node.on_gpu:
             self.pool.free(node.slot)
             front.slot = self.pool.allocate()
@@ -415,6 +424,7 @@ class RadixPrefixCache:
         node.slot = self.pool.allocate()
         self.pool.append_placeholder(node.slot, n)
         node.on_gpu = True
+        node.parent.gpu_kids += 1
         self._host_tokens -= n
         self._gpu_tokens += n
         self.stats.unparked_tokens += n
@@ -440,7 +450,7 @@ class RadixPrefixCache:
             if child is None:
                 break
             take = min(self._floor_page(
-                self._common_len(child.tokens, tokens[pos:])), n - pos)
+                self._common_len(child.tokens, tokens, pos)), n - pos)
             if take == 0:
                 break
             if take < len(child.tokens):
@@ -448,6 +458,7 @@ class RadixPrefixCache:
             if not child.on_gpu:
                 return 0        # already cached (host tier); never extend below
             child.last_use_us = max(child.last_use_us, now)
+            self._index(child)
             path.append(child)
             pos += take
             node = child
@@ -477,21 +488,62 @@ class RadixPrefixCache:
         child.slot = self.pool.allocate()
         self.pool.append_placeholder(child.slot, remaining)
         node.children[child.tokens[:self.page_tokens]] = child
+        node.gpu_kids += 1
+        self._n_nodes += 1
+        self._index(child)
         self._gpu_tokens += remaining
         self.stats.inserted_tokens += remaining
         return remaining
 
     # -- eviction and tiering ------------------------------------------------
 
-    def _evictable(self, node: _Node, protect_ids: set[int]) -> bool:
-        return (node.on_gpu and node.refs == 0
-                and id(node) not in protect_ids
-                and not any(c.on_gpu for c in node.children.values()))
+    def _heap_of(self, node: _Node) -> list | None:
+        """The candidate heap ``node`` belongs on now, if any."""
+        if node.parent is None:     # the root, or a removed node
+            return None
+        if node.on_gpu:
+            return None if node.refs or node.gpu_kids else self._frontier
+        return None if node.children else self._host_leaves
+
+    def _live(self, entry: tuple, heap: list) -> bool:
+        """Whether a heap entry still matches its node's key and heap."""
+        last, order, node = entry
+        return (last == node.last_use_us and order == node.order
+                and self._heap_of(node) is heap)
+
+    def _index(self, node: _Node) -> None:
+        """Push ``node`` under its current key onto the heap it belongs
+        on; called after any change that can make it a candidate.
+
+        A heap past twice the tree's size is compacted to its live
+        entries, one per node, so stale entries cost amortized O(1).
+        """
+        self.node_visits += 1
+        heap = self._heap_of(node)
+        if heap is None:
+            return
+        heapq.heappush(heap, (node.last_use_us, node.order, node))
+        if len(heap) > 2 * self._n_nodes + 64:
+            self.node_visits += len(heap)
+            live = {id(e[2]): e for e in heap if self._live(e, heap)}
+            heap[:] = live.values()
+            heapq.heapify(heap)
+
+    def _heap_min(self, heap: list) -> _Node | None:
+        """The least-recently-used live node of ``heap``; drops stale tops."""
+        while heap:
+            self.node_visits += 1
+            if self._live(heap[0], heap):
+                return heap[0][2]
+            heapq.heappop(heap)
+        return None
 
     def _drop_host_subtree(self, node: _Node) -> None:
         """Detach and count every host descendant of ``node``."""
         for child in list(node.children.values()):
             self._drop_host_subtree(child)
+            child.parent = None
+            self._n_nodes -= 1
             self._host_tokens -= len(child.tokens)
             self.stats.dropped_host_tokens += len(child.tokens)
         node.children.clear()
@@ -501,16 +553,20 @@ class RadixPrefixCache:
         self._drop_host_subtree(node)
         n = len(node.tokens)
         pages = 0
+        parent = node.parent
         if node.on_gpu:
             self.pool.free(node.slot)
             self._gpu_tokens -= n
             self.stats.evicted_tokens += n
             pages = n // self.page_tokens
+            parent.gpu_kids -= 1
         else:
             self._host_tokens -= n
             self.stats.dropped_host_tokens += n
-        del node.parent.children[node.tokens[:self.page_tokens]]
+        del parent.children[node.tokens[:self.page_tokens]]
         node.parent = None
+        self._n_nodes -= 1
+        self._index(parent)
         return pages
 
     def evict_pages(self, n_pages: int, now: float,
@@ -525,36 +581,29 @@ class RadixPrefixCache:
         actually freed -- possibly fewer than asked when everything
         left is referenced or protected.
         """
-        protect_ids = {id(p) for p in protect}
+        protect = set(protect)
+        skipped = []
         freed = 0
         while freed < n_pages:
-            victim = None
-            for node in self._iter_nodes():
-                if not self._evictable(node, protect_ids):
-                    continue
-                if victim is None or ((node.last_use_us, node.order)
-                                      < (victim.last_use_us, victim.order)):
-                    victim = node
+            victim = self._heap_min(self._frontier)
             if victim is None:
                 break
-            freed += self._evict(victim)
+            entry = heapq.heappop(self._frontier)
+            if victim in protect:
+                skipped.append(entry)
+            else:
+                freed += self._evict(victim)
+        for entry in skipped:
+            heapq.heappush(self._frontier, entry)
         return freed
 
     def _drop_lru_host_leaf(self) -> bool:
         """Drop the least-recently-used childless host node; False if none."""
-        victim = None
-        for node in self._iter_nodes():
-            if node.on_gpu or node.children:
-                continue
-            if victim is None or ((node.last_use_us, node.order)
-                                  < (victim.last_use_us, victim.order)):
-                victim = node
+        victim = self._heap_min(self._host_leaves)
         if victim is None:
             return False
-        self._host_tokens -= len(victim.tokens)
-        self.stats.dropped_host_tokens += len(victim.tokens)
-        del victim.parent.children[victim.tokens[:self.page_tokens]]
-        victim.parent = None
+        heapq.heappop(self._host_leaves)
+        self._evict(victim)
         return True
 
     def _host_room(self, n: int) -> bool:
@@ -565,6 +614,25 @@ class RadixPrefixCache:
             if not self._drop_lru_host_leaf():
                 return False
         return True
+
+    def _park(self, node: _Node) -> int:
+        """Move one frontier node's pages to the host tier; returns tokens."""
+        n = len(node.tokens)
+        self.pool.free(node.slot)
+        node.slot = None
+        node.on_gpu = False
+        node.parent.gpu_kids -= 1
+        self._gpu_tokens -= n
+        self._host_tokens += n
+        self.stats.parked_tokens += n
+        self._index(node)
+        self._index(node.parent)
+        return n
+
+    def _idle(self, node: _Node | None, now: float) -> bool:
+        """The engine's park test: idle for at least ``idle_park_us``."""
+        return (node is not None
+                and not now - node.last_use_us < self.tier.idle_park_us)
 
     def park_idle(self, now: float) -> int:
         """Park idle unreferenced GPU entries into the host tier.
@@ -577,31 +645,22 @@ class RadixPrefixCache:
         Returns the tokens parked by this call (the engine prices the
         swap-out bytes off the critical path -- parking never stalls
         the serving clock).  No-op without a tier config.
+
+        Due nodes park least-recently-used first (a parent joins the
+        frontier once its last GPU child parks), so host-budget drops
+        always take older entries before newer ones.  ``now -
+        last_use_us`` is monotone in ``last_use_us``, so the frontier's
+        least-recent node decides whether anything is due.
         """
         if self.tier is None:
             return 0
         parked = 0
-        progress = True
-        while progress:
-            progress = False
-            for node in self._iter_nodes():
-                if (not node.on_gpu or node.refs > 0
-                        or any(c.on_gpu for c in node.children.values())
-                        or now - node.last_use_us < self.tier.idle_park_us):
-                    continue
-                n = len(node.tokens)
-                if not self._host_room(n):
-                    self._evict(node)
-                else:
-                    self.pool.free(node.slot)
-                    node.slot = None
-                    node.on_gpu = False
-                    self._gpu_tokens -= n
-                    self._host_tokens += n
-                    self.stats.parked_tokens += n
-                    parked += n
-                progress = True
-                break       # tree mutated: restart the scan
+        while self._idle(self._heap_min(self._frontier), now):
+            node = heapq.heappop(self._frontier)[2]
+            if self._host_room(len(node.tokens)):
+                parked += self._park(node)
+            else:
+                self._evict(node)
         return parked
 
 
@@ -709,8 +768,6 @@ class SessionCache:
         preemption traffic are directly comparable.  No-op without a
         tier config.
         """
-        if self.tier is None:
-            return
         if self.cache.park_idle(clock):
             self.stats.swap_out_bytes = self.server.costs.kv_swap_bytes(
                 self.stats.parked_tokens)

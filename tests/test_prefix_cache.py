@@ -32,10 +32,18 @@ PAGE = 16
 
 
 def make_cache(budget_tokens=4096, capacity_tokens=None, tier=None):
-    pool = PagedKVPool(n_heads=1, head_dim=1, budget_tokens=budget_tokens,
-                       page_tokens=PAGE)
+    pool = PagedKVPool(budget_tokens=budget_tokens, page_tokens=PAGE)
     cfg = PrefixCacheConfig(capacity_tokens=capacity_tokens)
     return RadixPrefixCache(pool, cfg, tier=tier)
+
+
+def _nodes(cache):
+    """Every non-root node of the cache's tree, depth-first."""
+    stack = list(cache._root.children.values())
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children.values())
 
 
 def toks(*pages):
@@ -301,7 +309,7 @@ def test_no_gpu_node_below_host_node():
     # Inserting an extension under a parked prefix must not attach a
     # GPU node below a host node.
     assert cache.insert(toks(1, 2, 3, 4), now=200.0, max_new_pages=100) == 0
-    for node in cache._iter_nodes():
+    for node in _nodes(cache):
         if not node.on_gpu:
             assert not any(c.on_gpu for c in node.children.values())
 
@@ -436,9 +444,9 @@ def test_fuzz_replay_is_bit_identical(ops, budget, tier):
            (c2.gpu_tokens, c2.host_tokens, c2.n_nodes)
     for c in (c1, c2):
         digest1 = sorted((n.tokens, n.on_gpu, n.refs)
-                         for n in c1._iter_nodes())
+                         for n in _nodes(c1))
         digest2 = sorted((n.tokens, n.on_gpu, n.refs)
-                         for n in c2._iter_nodes())
+                         for n in _nodes(c2))
         assert digest1 == digest2
     assert (c1.stats.inserted_tokens, c1.stats.evicted_tokens, c1.stats.parked_tokens,
             c1.stats.unparked_tokens, c1.stats.dropped_host_tokens) == \
