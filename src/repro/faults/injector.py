@@ -121,9 +121,10 @@ class FaultInjector:
     Attach one to a
     :class:`~repro.serving.continuous.ContinuousBatchingServer`
     (``fault_injector=``); the serving loop queries
-    :meth:`perturbation_at` once per decode iteration and
-    :meth:`failed_uploads` / :meth:`retry_fails` for the expert-upload
-    fault channel.  All methods are pure given the plan.
+    :meth:`perturbation_at` once per decode iteration, :meth:`link_at`
+    to price KV swaps and stage handoffs, and :meth:`failed_uploads` /
+    :meth:`retry_fails` for the expert-upload fault channel.  All
+    methods are pure given the plan.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
@@ -141,10 +142,7 @@ class FaultInjector:
             raise ConfigError("step_idx must be >= 0")
         cpu = max((w.slowdown for w in self.plan.stragglers
                    if w.active_at(t_us)), default=1.0)
-        pcie = min((w.bandwidth_fraction for w in self.plan.pcie
-                    if w.active_at(t_us)), default=1.0)
-        numa = max((w.slowdown for w in self.plan.numa
-                    if w.active_at(t_us)), default=1.0)
+        pcie, numa = self._link_scales(t_us)
         prob = max((w.probability for w in self.plan.upload_failures
                     if w.active_at(t_us)), default=0.0)
         jitter = 1.0
@@ -157,6 +155,23 @@ class FaultInjector:
             cpu_scale=cpu, pcie_scale=pcie, numa_scale=numa,
             jitter_scale=jitter, upload_failure_prob=prob,
         )
+
+    def link_at(self, t_us: float, link: InterconnectSpec
+                ) -> InterconnectSpec:
+        """``link`` degraded by the PCIe and NUMA windows active at
+        ``t_us``: ``perturbation_at(t_us, step).degrade_link(link)``
+        without the jitter draw, which a link never reads."""
+        pcie, numa = self._link_scales(t_us)
+        return degraded_link(link, pcie_scale=pcie,
+                             cross_socket_scale=1.0 / numa)
+
+    def _link_scales(self, t_us: float) -> tuple[float, float]:
+        """The worst PCIe bandwidth fraction and NUMA slowdown at ``t_us``."""
+        pcie = min((w.bandwidth_fraction for w in self.plan.pcie
+                    if w.active_at(t_us)), default=1.0)
+        numa = max((w.slowdown for w in self.plan.numa
+                    if w.active_at(t_us)), default=1.0)
+        return pcie, numa
 
     def failed_uploads(
         self, t_us: float, step_idx: int,

@@ -291,7 +291,9 @@ def _graph_head_ends(works: Sequence[DecodeLayerWork],
     -> routed experts -> to-GPU -> sync -> shared -> merge (a dense layer
     is attention alone), then the LM head, which every task reaches.  No
     task waits for its resource, so these are the ``max`` picks and
-    ``start + duration`` adds of ``CompiledGraph._critical_path``.
+    ``start + duration`` adds of ``CompiledGraph._critical_path``.  A
+    layer's durations and their checks are derived once per distinct
+    work object (by identity: a preset's repeated layers share one).
     """
     if not works or not config.launch_mode.uses_graph or config.n_deferred:
         return None
@@ -300,20 +302,25 @@ def _graph_head_ends(works: Sequence[DecodeLayerWork],
                            else (perturb.cpu_mult, perturb.pcie_mult))
     head_us = works[-1].gpu_attn_us * 0.2
     checked = [machine.gpu.graph_launch_us, head_us + lat, head_us]
+    derived: dict[int, tuple] = {}
     layers = []
     for w in works:
-        n_attn = max(1, int(w.n_gpu_kernels * config.attn_kernel_fraction))
-        attn = w.gpu_attn_us + n_attn * lat
-        checked += (w.gpu_attn_us, attn)
-        if w.cpu_routed_us <= 0.0:
-            layers.append((attn, None))
-            continue
-        xfer = pcie_transfer_time_us(w.transfer_bytes, machine.interconnect)
-        shared = w.gpu_shared_us + max(1, w.n_gpu_kernels - n_attn) * lat
-        cpu = (xfer * pcie_mult, w.cpu_routed_us * cpu_mult, shared,
-               MERGE_KERNEL_US + lat)
-        checked += (xfer, w.cpu_routed_us, w.gpu_shared_us, *cpu)
-        layers.append((attn, cpu))
+        layer = derived.get(id(w))
+        if layer is None:
+            n_attn = max(1, int(w.n_gpu_kernels * config.attn_kernel_fraction))
+            attn = w.gpu_attn_us + n_attn * lat
+            checked += (w.gpu_attn_us, attn)
+            cpu = None
+            if not w.cpu_routed_us <= 0.0:    # a NaN is checked, not dense
+                xfer = pcie_transfer_time_us(w.transfer_bytes,
+                                             machine.interconnect)
+                shared = (w.gpu_shared_us
+                          + max(1, w.n_gpu_kernels - n_attn) * lat)
+                cpu = (xfer * pcie_mult, w.cpu_routed_us * cpu_mult, shared,
+                       MERGE_KERNEL_US + lat)
+                checked += (xfer, w.cpu_routed_us, w.gpu_shared_us, *cpu)
+            layer = derived[id(w)] = (attn, cpu)
+        layers.append(layer)
     if not all(0.0 <= d < math.inf for d in checked):
         return None
     launch, head = checked[:2]

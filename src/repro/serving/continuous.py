@@ -325,8 +325,10 @@ class ContinuousBatchingServer:
 
     def link_at(self, clock: float) -> InterconnectSpec:
         """The (possibly fault-degraded) PCIe link on the serving clock."""
-        return self._perturbation(clock).degrade_link(
-            self.costs.machine.interconnect)
+        link = self.costs.machine.interconnect
+        if self.fault_injector is None:
+            return link
+        return self.fault_injector.link_at(clock, link)
 
     def _perturbation(self, clock: float) -> StepPerturbation:
         """The fault perturbation active on the serving clock."""

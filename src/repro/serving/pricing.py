@@ -78,6 +78,20 @@ def _decode_works(system, preset, machine, dtype, backend,
     return tuple(works), summary
 
 
+def _per_distinct(build, *columns) -> list:
+    """``[build(*row) for row in zip(*columns)]``, calling ``build`` once
+    per distinct row of objects and reusing its result at every position
+    the row repeats at.  Rows key on object identity, never on value, so
+    equal-valued works (``-0.0`` against ``0.0``, or a NaN) cannot share
+    a result that a per-position build would not have given."""
+    keys = list(zip(*[map(id, column) for column in columns]))
+    built: dict[tuple[int, ...], object] = {}
+    for key, row in zip(keys, zip(*columns)):
+        if key not in built:
+            built[key] = build(*row)
+    return [built[key] for key in keys]
+
+
 def _check_gemm_dispatch(mode: str) -> None:
     if mode not in GEMM_DISPATCH_MODES:
         raise ConfigError(
@@ -354,18 +368,21 @@ class BatchCostModel:
         the chunk's marginal works merged on top -- the chunk's experts
         stay on the CPU (prefill streams every active expert from DRAM
         regardless of GPU residency).  An empty batch is the chunk alone.
+        A preset's layers of one kind share one work object, so each of
+        these builds runs once per distinct layer object
+        (:func:`_per_distinct`) and the repeated layers share its result.
         """
         works = self._works.get(shape)
         if works is not None:
             return works
         batch, ctx, chunk, cache = shape
         if not batch:
-            works = [chunk_only_work(c)
-                     for c in self._chunk_layers(0, chunk)[0]]
+            works = _per_distinct(chunk_only_work,
+                                  self._chunk_layers(0, chunk)[0])
         elif chunk:
-            works = [merge_hybrid_work(d, c) for d, c in zip(
-                self._works_for(shape._replace(chunk=0)),
-                self._chunk_layers(batch, chunk)[0])]
+            works = _per_distinct(merge_hybrid_work,
+                                  self._works_for(shape._replace(chunk=0)),
+                                  self._chunk_layers(batch, chunk)[0])
         elif cache:
             hit, n_hit, arm, contig = cache
             session = self.session
@@ -373,14 +390,13 @@ class BatchCostModel:
             hit_tokens = round(layer_tokens * hit / self.HIT_RATE_BUCKETS)
             dispatch = (None if arm is None else
                         ExpertGemmDispatch(arm, contig / self.CONTIG_BUCKETS))
-            works = [
-                w if w.cpu_routed_us <= 0.0 else apply_expert_cache(
+            works = _per_distinct(
+                lambda w: w if w.cpu_routed_us <= 0.0 else apply_expert_cache(
                     w, session.preset, self.machine, session.dtype,
                     total_tokens=layer_tokens, hit_tokens=hit_tokens,
                     n_hit_experts=n_hit, dispatch=dispatch,
-                )
-                for w in self._decode_layers(batch, ctx)[0]
-            ]
+                ),
+                self._decode_layers(batch, ctx)[0])
         else:       # cache not consulted, or idle: the plain decode graph
             works = list(self._decode_layers(batch, ctx)[0])
         self._works[shape] = works

@@ -352,11 +352,25 @@ def _graph_config(overlap=True, mode=LaunchMode.CUDA_GRAPH, n_deferred=0):
                                 top_k=6, n_deferred=n_deferred)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(recurrence_works, min_size=1, max_size=8), st.booleans(),
-       scalings, st.integers(1, 5), st.integers(0, 3))
+@st.composite
+def shared_recurrence_works(draw):
+    """Layers picked from a pool of at most three work objects, so one
+    object repeats at several positions as a preset's dense and MoE
+    layers do."""
+    pool = draw(st.lists(recurrence_works, min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                          max_size=12))
+    return [pool[i] for i in picks]
+
+
+@settings(max_examples=350, deadline=None)
+@given(st.one_of(st.lists(recurrence_works, min_size=1, max_size=8),
+                 shared_recurrence_works()),
+       st.booleans(), scalings, st.integers(1, 5), st.integers(0, 3))
 def test_graph_recurrence_matches_recorded_chain(works, overlap, perturb,
                                                  n_steps, warmup_steps):
+    """Independent layers, or layers repeating a few shared objects (the
+    recurrence derives each distinct object once and reuses it)."""
     machine, config = paper_testbed("a100"), _graph_config(overlap)
     steps = warmup_steps + n_steps
     __, ends, total, ids = _retime_decode_chain(works, config, machine, steps,
@@ -390,6 +404,8 @@ _GOOD = DecodeLayerWork(30.0, 12.0, 250.0, 7168 * 4.0, 9)
     ([_GOOD], DurationScaling(1.0, -2.0), SimulationError),
     ([_GOOD], DurationScaling(math.nan, 1.0), SimulationError),
     ([], None, SchedulingError),
+    ([_GOOD, DecodeLayerWork(30.0, 12.0, math.nan, 1e4, 9)] * 2, None,
+     SimulationError),     # a repeated invalid layer object
 ])
 def test_graph_recurrence_raises_like_the_recorded_step(works, perturb,
                                                         error):

@@ -137,6 +137,21 @@ class TestPcieDegradationIsolated:
         assert inj.perturbation_at(60.0, 0).pcie_scale == 0.2
         assert inj.perturbation_at(100.0, 0).pcie_scale == 1.0
 
+    def test_link_query_is_the_perturbations_link(self):
+        """``link_at`` degrades the link exactly as the iteration's
+        perturbation does, and hands back the link itself outside every
+        window, without the jitter draw."""
+        plan = canonical_chaos_plan()
+        inj = FaultInjector(plan)
+        edges = sorted({t for w in plan.pcie + plan.numa
+                        for t in (w.start_us, w.end_us)})
+        times = [0.0] + edges + [t + 0.5 for t in edges]
+        for step, t in enumerate(times):
+            want = inj.perturbation_at(t, step).degrade_link(LINK)
+            got = inj.link_at(t, LINK)
+            assert got == want and (got is LINK) == (want is LINK)
+        assert any(inj.link_at(t, LINK) is not LINK for t in times)
+
 
 class TestStragglerAndNumaIsolated:
     """CPU-side faults scale simulated cpu tasks by the exact golden factor."""

@@ -10,6 +10,7 @@ from repro.errors import ConfigError
 from repro.hw import paper_testbed
 from repro.model import DS2, DS3, QW2, MoETransformer, tiny_config
 from repro.serving import (
+    BatchCostModel,
     BatchSchedulerConfig,
     ContinuousBatchingServer,
     GenerationRequest,
@@ -217,6 +218,42 @@ def test_batch1_fifo_is_a_lindley_queue(preset, n_deferred, rho, shapes,
         assert t.arrival_us == arrival
         assert t.start_us == pytest.approx(start, rel=1e-9)
         assert t.finish_us == pytest.approx(start + s, rel=1e-9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(preset=st.sampled_from([DS3, DS2, QW2]),
+       n_deferred=st.sampled_from([0, 2]), batch=st.integers(1, 16),
+       prompt_len=st.integers(1, 300), n_out=st.integers(1, 8))
+def test_batched_burst_is_the_pricers_sum(preset, n_deferred, batch,
+                                          prompt_len, n_out):
+    """``batch`` identical requests arriving together, with no chunking,
+    ample KV and no optional subsystem, run one monolithic prefill pass
+    and then ``n_out`` steps of the whole batch: every TTFT is the pass
+    plus the first step's price, and every finish the pass plus the step
+    prices at the growing contexts, summed in serving order."""
+    session = _lindley_session(preset, n_deferred)
+    config = BatchSchedulerConfig()
+    assert batch <= config.max_batch_size
+    assert batch * (prompt_len + n_out + config.page_tokens) \
+        <= config.kv_budget_tokens
+    requests = [GenerationRequest(np.arange(prompt_len) % 60 + 1,
+                                  max_new_tokens=n_out)
+                for _ in range(batch)]
+    timings = ContinuousBatchingServer(session, config).replay(
+        [TimedRequest(0.0, r) for r in requests]).timings
+    costs = BatchCostModel(session)
+    clock = 0.0
+    clock += costs.batched_prefill_us(batch * prompt_len)
+    steps = [costs.decode_step_us([prompt_len + i] * batch)
+             for i in range(n_out)]
+    first = clock + steps[0]
+    for step in steps:
+        clock += step
+    assert len(timings) == batch
+    for t in timings:
+        assert t.start_us == 0.0
+        assert t.ttft_us == first
+        assert t.finish_us == clock
 
 
 class TestBatch1Server:

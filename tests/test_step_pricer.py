@@ -11,6 +11,7 @@ each priced task graph directly from the workload lowerings
 in any call order, and count the kernels of the works it priced.
 """
 
+import copy
 import random
 from dataclasses import replace
 
@@ -21,8 +22,9 @@ from hypothesis import strategies as st
 from repro.core.engine import batched_decode_works, hybrid_chunk_works
 from repro.errors import ConfigError
 from repro.faults import StepPerturbation
-from repro.model import QW2, MoETransformer, tiny_config
+from repro.model import DS3, QW2, MoETransformer, tiny_config
 from repro.moe.expert_cache import CacheStepResult
+from repro.sched import decode
 from repro.sched.decode import DecodeScheduleConfig, batched_step_time_us
 from repro.sched.workload import (
     ExpertGemmDispatch,
@@ -31,6 +33,7 @@ from repro.sched.workload import (
     merge_hybrid_work,
 )
 from repro.serving import BatchCostModel, InferenceSession, StepShape
+from repro.serving import pricing
 
 DISPATCH_MODES = ("legacy", "per-expert", "grouped", "auto")
 
@@ -233,3 +236,78 @@ class TestStepShape:
 def test_unknown_dispatch_lists_the_choices():
     with pytest.raises(ConfigError, match="'per-expert'"):
         BatchCostModel(SESSION, gemm_dispatch="magic")
+
+
+# -- repeated layers: a shape's works are built once per distinct layer ------
+
+# No Expert Deferral, so the steps price through the per-layer recurrence.
+LAYER_SESSIONS = {p.name: InferenceSession(
+    MoETransformer(tiny_config("tiny-qw")), p) for p in (DS3, QW2)}
+
+
+def _per_layer_works(session, shape):
+    """A shape's works built position by position from a copy of every
+    base and chunk layer, so no two positions share an object."""
+    c, machine = session, session.machine
+    batch, ctx, chunk, cache = shape
+    works = []
+    if batch:
+        works = [copy.copy(w) for w in batched_decode_works(
+            c.system, c.preset, machine, c.dtype,
+            context_lens=[ctx] * batch)[0]]
+    if cache:
+        hit, n_hit, arm, contig = cache
+        layer_tokens = batch * c.preset.top_k
+        dispatch = None if arm is None else ExpertGemmDispatch(arm,
+                                                               contig / 8)
+        works = [w if w.cpu_routed_us <= 0.0 else apply_expert_cache(
+                     w, c.preset, machine, c.dtype,
+                     total_tokens=layer_tokens,
+                     hit_tokens=round(layer_tokens * hit / 20),
+                     n_hit_experts=n_hit, dispatch=dispatch)
+                 for w in works]
+    if chunk:
+        chunk_works = [copy.copy(w) for w in hybrid_chunk_works(
+            c.system, c.preset, machine, c.dtype, chunk_tokens=chunk,
+            batch_size=batch)[0]]
+        works = ([merge_hybrid_work(d, w) for d, w in zip(works, chunk_works)]
+                 if batch else [chunk_only_work(w) for w in chunk_works])
+    return works
+
+
+@pytest.mark.parametrize("batch, chunk", [(4, 0), (4, 128), (0, 128)],
+                         ids=["decode", "chunked", "chunk-only"])
+@pytest.mark.parametrize("mode", ["legacy", "per-expert", "grouped"])
+@pytest.mark.parametrize("preset", sorted(LAYER_SESSIONS))
+def test_works_are_built_once_per_distinct_layer(preset, mode, batch, chunk,
+                                                 monkeypatch):
+    """DS3 (dense + MoE layers) and QW2 (MoE only) shapes equal the
+    position-by-position reference, price the same float, and reprice
+    each distinct base MoE layer object exactly once."""
+    session = LAYER_SESSIONS[preset]
+    costs = BatchCostModel(session, gemm_dispatch=mode)
+    repriced = []
+
+    def counting(work, *args, **kwargs):
+        repriced.append(work)
+        return apply_expert_cache(work, *args, **kwargs)
+
+    monkeypatch.setattr(pricing, "apply_expert_cache", counting)
+    cache = None
+    if batch:
+        cache = (10, 3, None, None) if mode == "legacy" else (10, 3, mode, 4)
+    shape = StepShape(batch, 256 if batch else 0, chunk, cache)
+    works = costs._works_for(shape)
+    reference = _per_layer_works(session, shape)
+    assert works == reference
+    layers = (costs._decode_layers(batch, 256)[0] if batch
+              else costs._chunk_layers(0, chunk)[0])
+    moe = {id(w) for w in layers if w.cpu_routed_us > 0.0}
+    assert sorted(map(id, repriced)) == (sorted(moe) if batch else [])
+    assert len({id(w) for w in works}) == len({id(w) for w in layers})
+    cfg = (costs._hybrid_schedule_config() if chunk
+           else costs._schedule_config())
+    price = decode._simulated_step_us.__wrapped__(
+        tuple(reference), cfg, costs.machine, 4, 2, None)
+    assert costs.decode_step_us(shape) == price
+    assert costs.step_kernel_count(shape) == _kernel_count(reference)
