@@ -20,6 +20,7 @@ from .engine import (
     hybrid_chunk_works,
     run_decode,
     run_prefill,
+    run_prefill_us,
 )
 from .skipping import SkippingConfig, SkippingEngine
 
@@ -30,5 +31,6 @@ __all__ = [
     "split_routing",
     "KTRANSFORMERS", "ThroughputResult", "batched_decode_works",
     "decode_works", "hybrid_chunk_works", "run_decode", "run_prefill",
+    "run_prefill_us",
     "SkippingConfig", "SkippingEngine",
 ]

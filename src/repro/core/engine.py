@@ -28,7 +28,7 @@ from ..model.presets import ModelPreset
 from ..moe.numa import NumaStrategy
 from ..sched.cuda_graph import LaunchMode
 from ..sched.decode import DecodeScheduleConfig, simulate_decode
-from ..sched.prefill import simulate_prefill
+from ..sched.prefill import prefill_elapsed_us, simulate_prefill
 from ..sched.workload import (
     BatchedDispatchSummary,
     DecodeLayerWork,
@@ -244,22 +244,19 @@ def hybrid_chunk_works(
     return works, summary
 
 
-def run_prefill(
+def _prefill_chunks(
     system: SystemProfile,
     preset: ModelPreset,
     machine: MachineSpec,
-    dtype: DType = BF16,
-    prompt_len: int = 1024,
-    chunk_tokens: int = 2048,
-    seed: int = 0,
-    backend: "str | KernelBackend | None" = None,
-) -> ThroughputResult:
-    """Simulate prefilling a ``prompt_len``-token prompt in chunks.
-
-    ``backend`` selects a registry :class:`KernelBackend`; ``None`` keeps
-    the system profile's kernels (matched bit-for-bit by the default
-    backend).
-    """
+    dtype: DType,
+    prompt_len: int,
+    chunk_tokens: int,
+    seed: int,
+    backend: "str | KernelBackend | None",
+) -> tuple[MachineSpec, list[list[PrefillLayerWork]]]:
+    """The machine a prefill runs on (``backend``'s launch constants
+    applied) and each chunk's per-layer work: dense layers first, then
+    MoE layers."""
     if prompt_len <= 0:
         raise ConfigError("prompt_len must be positive")
     backend = resolve_backend(backend)
@@ -298,10 +295,53 @@ def run_prefill(
         works_per_chunk.append(
             [dense] * preset.n_dense_layers + [moe] * preset.n_moe_layers
         )
+    return machine, works_per_chunk
 
+
+def run_prefill(
+    system: SystemProfile,
+    preset: ModelPreset,
+    machine: MachineSpec,
+    dtype: DType = BF16,
+    prompt_len: int = 1024,
+    chunk_tokens: int = 2048,
+    seed: int = 0,
+    backend: "str | KernelBackend | None" = None,
+) -> ThroughputResult:
+    """Simulate prefilling a ``prompt_len``-token prompt in chunks.
+
+    ``backend`` selects a registry :class:`KernelBackend`; ``None`` keeps
+    the system profile's kernels (matched bit-for-bit by the default
+    backend).  The pass is recorded as a task graph, so the result
+    carries its full trace; :func:`run_prefill_us` gives the same
+    ``elapsed_us`` without recording.
+    """
+    machine, works_per_chunk = _prefill_chunks(
+        system, preset, machine, dtype, prompt_len, chunk_tokens, seed,
+        backend)
     sim = simulate_prefill(works_per_chunk, system.launch_mode, machine,
                            system.overlap_cpu_gpu)
     return _result(system, preset, "prefill", prompt_len, sim)
+
+
+def run_prefill_us(
+    system: SystemProfile,
+    preset: ModelPreset,
+    machine: MachineSpec,
+    dtype: DType = BF16,
+    prompt_len: int = 1024,
+    chunk_tokens: int = 2048,
+    seed: int = 0,
+    backend: "str | KernelBackend | None" = None,
+) -> float:
+    """``run_prefill(...).elapsed_us``, timed without recording a task
+    graph where the launch mode allows
+    (:func:`~repro.sched.prefill.prefill_elapsed_us`)."""
+    machine, works_per_chunk = _prefill_chunks(
+        system, preset, machine, dtype, prompt_len, chunk_tokens, seed,
+        backend)
+    return prefill_elapsed_us(works_per_chunk, system.launch_mode, machine,
+                              system.overlap_cpu_gpu)
 
 
 def _result(system: SystemProfile, preset: ModelPreset, phase: str,

@@ -146,34 +146,37 @@ def moe_layer_time_us(
     active = [int(t) for t in expert_tokens if t > 0]
     if not active:
         return 0.0
+    shards = 1
     if strategy is NumaStrategy.OBLIVIOUS:
         cpu = oblivious_cpu(machine, streaming_access=streaming_access)
-        return sum(expert_time_us(prof(t), t, dims, cpu) for t in active)
+    elif strategy is NumaStrategy.EXPERT_PARALLEL:
+        cpu = machine.cpu
+    elif strategy is NumaStrategy.TENSOR_PARALLEL:
+        cpu, shards = machine.cpu, machine.sockets
+    else:
+        raise ConfigError(f"unknown NUMA strategy {strategy!r}")
+    # One GEMM-pair time per distinct load: many experts share a count.
+    time_of = {t: expert_time_us(prof(t), t, dims, cpu, tp_shards=shards)
+               for t in set(active)}
+
+    if strategy is NumaStrategy.OBLIVIOUS:
+        return sum(time_of[t] for t in active)
 
     if strategy is NumaStrategy.EXPERT_PARALLEL:
         loads = [0.0] * machine.sockets
         for expert_id, t in enumerate(expert_tokens):
             if t > 0:
-                loads[expert_id % machine.sockets] += expert_time_us(
-                    prof(int(t)), int(t), dims, machine.cpu
-                )
+                loads[expert_id % machine.sockets] += time_of[int(t)]
         return max(loads)
 
-    if strategy is NumaStrategy.TENSOR_PARALLEL:
-        shards = machine.sockets
-        per_socket = sum(
-            expert_time_us(prof(t), t, dims, machine.cpu, tp_shards=shards)
-            for t in active
-        )
-        if shards == 1:
-            return per_socket
-        # Reduce-scatter of partial hidden-state outputs (BF16 activations).
-        tokens_total = sum(active)
-        bytes_exchanged = tokens_total * dims.hidden * 2.0 * (shards - 1) / shards
-        comm = cross_socket_transfer_time_us(bytes_exchanged, machine.interconnect)
-        return per_socket + comm
-
-    raise ConfigError(f"unknown NUMA strategy {strategy!r}")
+    per_socket = sum(time_of[t] for t in active)
+    if shards == 1:
+        return per_socket
+    # Reduce-scatter of partial hidden-state outputs (BF16 activations).
+    tokens_total = sum(active)
+    bytes_exchanged = tokens_total * dims.hidden * 2.0 * (shards - 1) / shards
+    comm = cross_socket_transfer_time_us(bytes_exchanged, machine.interconnect)
+    return per_socket + comm
 
 
 # ---------------------------------------------------------------------------

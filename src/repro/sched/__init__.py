@@ -30,7 +30,7 @@ from .multi_gpu import (
     staged_interval_us,
     vram_per_stage_bytes,
 )
-from .prefill import build_prefill_chunk, simulate_prefill
+from .prefill import build_prefill_chunk, prefill_elapsed_us, simulate_prefill
 from .workload import (
     DecodeLayerWork,
     ExpertGemmDispatch,
@@ -45,7 +45,7 @@ __all__ = [
     "GraphLookup", "LaunchMode",
     "DecodeScheduleConfig", "batched_step_time_us", "build_decode_step",
     "simulate_decode",
-    "build_prefill_chunk", "simulate_prefill",
+    "build_prefill_chunk", "prefill_elapsed_us", "simulate_prefill",
     "KVOffloadCost", "gpu_kv_budget_tokens", "kv_bytes_per_token_layer",
     "kv_cache_total_bytes", "kv_offload_step_cost",
     "PipelineConfig", "simulate_pipelined_decode",

@@ -20,7 +20,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..errors import SchedulingError
 from ..hw.event_sim import CompiledGraph, DurationScaling, Simulator
@@ -287,57 +287,96 @@ def _graph_head_ends(works: Sequence[DecodeLayerWork],
     times them; None for any other config or an invalid duration, which
     recording the step then rejects with the recorder's error.
 
-    A step is its graph launch, per layer attention -> submit -> to-CPU
-    -> routed experts -> to-GPU -> sync -> shared -> merge (a dense layer
-    is attention alone), then the LM head, which every task reaches.  No
-    task waits for its resource, so these are the ``max`` picks and
-    ``start + duration`` adds of ``CompiledGraph._critical_path``.  A
-    layer's durations and their checks are derived once per distinct
-    work object (by identity: a preset's repeated layers share one).
+    A step is its graph launch, the layers of :func:`graph_chain_end`,
+    then the LM head, which every task reaches.
     """
     if not works or not config.launch_mode.uses_graph or config.n_deferred:
         return None
     lat = config.launch_mode.launch_latency_us(machine)
+    frac = config.attn_kernel_fraction
+
+    def kernel_split(n: int) -> tuple[int, int]:
+        n_attn = max(1, int(n * frac))
+        return n_attn, max(1, n - n_attn)
+
+    layers = graph_layers(works, machine, lat, kernel_split,
+                          MERGE_KERNEL_US, perturb)
+    head_us = works[-1].gpu_attn_us * 0.2
+    launch, head = machine.gpu.graph_launch_us, head_us + lat
+    if layers is None or not all(0.0 <= d < math.inf
+                                 for d in (launch, head, head_us)):
+        return None
+    ends, end = [], 0.0
+    for __ in range(n_steps):
+        end = graph_chain_end(end, launch, layers,
+                              config.overlap_cpu_gpu) + head
+        ends.append(end)
+    return ends
+
+
+def graph_layers(works: Sequence, machine: MachineSpec, lat: float,
+                 kernel_split: Callable[[int], tuple[int, int]],
+                 merge_us: float, perturb: PerturbHook = None,
+                 ) -> Optional[list]:
+    """Each layer's ``(attn, cpu)`` durations for :func:`graph_chain_end`,
+    or None if any duration the recorder would check is invalid.
+
+    ``attn`` is the attention kernel group's duration, ``cpu`` None for a
+    dense layer (``cpu_routed_us <= 0``), else ``(transfer, routed
+    experts, shared kernel group, merge)`` with the transfer and the
+    routed experts scaled by ``perturb``.  ``kernel_split(n)`` splits a
+    layer's ``n`` GPU kernels into its attention and shared groups;
+    every kernel group adds the graph replay latency ``lat`` per kernel.
+    Durations and their checks are derived once per distinct work object
+    (by identity: a preset's repeated layers share one).
+    """
     cpu_mult, pcie_mult = ((1.0, 1.0) if perturb is None
                            else (perturb.cpu_mult, perturb.pcie_mult))
-    head_us = works[-1].gpu_attn_us * 0.2
-    checked = [machine.gpu.graph_launch_us, head_us + lat, head_us]
+    checked = []
     derived: dict[int, tuple] = {}
     layers = []
     for w in works:
         layer = derived.get(id(w))
         if layer is None:
-            n_attn = max(1, int(w.n_gpu_kernels * config.attn_kernel_fraction))
+            n_attn, n_shared = kernel_split(w.n_gpu_kernels)
             attn = w.gpu_attn_us + n_attn * lat
             checked += (w.gpu_attn_us, attn)
             cpu = None
             if not w.cpu_routed_us <= 0.0:    # a NaN is checked, not dense
                 xfer = pcie_transfer_time_us(w.transfer_bytes,
                                              machine.interconnect)
-                shared = (w.gpu_shared_us
-                          + max(1, w.n_gpu_kernels - n_attn) * lat)
+                shared = w.gpu_shared_us + n_shared * lat
                 cpu = (xfer * pcie_mult, w.cpu_routed_us * cpu_mult, shared,
-                       MERGE_KERNEL_US + lat)
+                       merge_us + lat)
                 checked += (xfer, w.cpu_routed_us, w.gpu_shared_us, *cpu)
             layer = derived[id(w)] = (attn, cpu)
         layers.append(layer)
     if not all(0.0 <= d < math.inf for d in checked):
         return None
-    launch, head = checked[:2]
-    ends, end = [], 0.0
-    for __ in range(n_steps):
-        end += launch             # the launch waits for the previous head
-        for attn, cpu in layers:
-            end = attn_end = end + attn
-            if cpu is not None:
-                xfer, imm, shared, merge = cpu
-                synced = attn_end + xfer + imm + xfer  # free submit/sync
-                done = (attn_end if config.overlap_cpu_gpu else synced
-                        ) + shared
-                end = (done if done > synced else synced) + merge
-        end += head
-        ends.append(end)
-    return ends
+    return layers
+
+
+def graph_chain_end(start: float, launch: float, layers: Sequence[tuple],
+                    overlap_cpu_gpu: bool) -> float:
+    """End of one CUDA-graph step's layers (:func:`graph_layers`) whose
+    graph launch waits for ``start``, bit for bit as the recorded graph
+    times them.
+
+    Per layer: attention -> submit -> to-CPU -> routed experts -> to-GPU
+    -> sync -> shared -> merge (a dense layer is attention alone).  No
+    task waits for its resource, so these are the ``max`` picks and
+    ``start + duration`` adds of ``CompiledGraph._critical_path``; the
+    in-graph submit and sync are free.
+    """
+    end = start + launch
+    for attn, cpu in layers:
+        end = attn_end = end + attn
+        if cpu is not None:
+            xfer, imm, shared, merge = cpu
+            synced = attn_end + xfer + imm + xfer
+            done = (attn_end if overlap_cpu_gpu else synced) + shared
+            end = (done if done > synced else synced) + merge
+    return end
 
 
 @functools.lru_cache(maxsize=64)     # distinct topologies kept compiled

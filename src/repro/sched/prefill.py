@@ -11,14 +11,23 @@ both the immediate and deferred sets, doubling memory traffic).
 
 from __future__ import annotations
 
+import math
+
 from ..errors import SchedulingError
 from ..hw.event_sim import Simulator
 from ..hw.roofline import pcie_transfer_time_us
 from ..hw.spec import MachineSpec
 from .cuda_graph import GpuExecutor, LaunchMode
+from .decode import graph_chain_end, graph_layers
 from .workload import PrefillLayerWork
 
 MERGE_KERNEL_US = 4.0
+
+
+def _kernel_split(n_gpu_kernels: int) -> tuple[int, int]:
+    """A prefill layer's attention and shared-expert kernel counts."""
+    return (max(1, int(n_gpu_kernels * 0.8)),
+            max(1, int(n_gpu_kernels * 0.2)))
 
 
 def build_prefill_chunk(
@@ -40,8 +49,8 @@ def build_prefill_chunk(
     prev_out: list[int] = list(chunk_deps)
     for k, w in enumerate(works):
         tag = f"{chunk_idx}.{k}"
-        attn = ex.kernel(f"attn:{tag}", w.gpu_attn_us,
-                         max(1, int(w.n_gpu_kernels * 0.8)), deps=prev_out)
+        n_attn, n_shared = _kernel_split(w.n_gpu_kernels)
+        attn = ex.kernel(f"attn:{tag}", w.gpu_attn_us, n_attn, deps=prev_out)
         if w.cpu_routed_us <= 0.0:
             prev_out = [attn]
             continue
@@ -60,8 +69,7 @@ def build_prefill_chunk(
         )
         sync = ex.sync_point(f"sync:{tag}", deps=[from_cpu])
         shared = ex.kernel(
-            f"shared:{tag}", w.gpu_shared_us,
-            max(1, int(w.n_gpu_kernels * 0.2)),
+            f"shared:{tag}", w.gpu_shared_us, n_shared,
             deps=[attn] if overlap_cpu_gpu else [sync],
         )
         prev_out = [ex.kernel(f"merge:{tag}", MERGE_KERNEL_US, 1,
@@ -87,3 +95,32 @@ def simulate_prefill(
         deps = [end]
     sim.drain()
     return sim
+
+
+def prefill_elapsed_us(
+    works_per_chunk: list[list[PrefillLayerWork]],
+    launch_mode: LaunchMode,
+    machine: MachineSpec,
+    overlap_cpu_gpu: bool,
+) -> float:
+    """``simulate_prefill(...).now`` without recording a task graph.
+
+    In CUDA-graph mode no task waits for its resource, so each chunk's
+    graph launch and layers are timed by :func:`~repro.sched.decode.
+    graph_chain_end`, bit for bit; the next chunk's launch waits for the
+    previous chunk's last layer.  Other launch modes, and any invalid
+    duration, record the chunks through :func:`simulate_prefill`, which
+    raises the recorder's own error.
+    """
+    if launch_mode.uses_graph and works_per_chunk and all(works_per_chunk):
+        lat = launch_mode.launch_latency_us(machine)
+        launch = machine.gpu.graph_launch_us
+        chunks = [graph_layers(works, machine, lat, _kernel_split,
+                               MERGE_KERNEL_US) for works in works_per_chunk]
+        if None not in chunks and 0.0 <= launch < math.inf:
+            end = 0.0
+            for layers in chunks:
+                end = graph_chain_end(end, launch, layers, overlap_cpu_gpu)
+            return end
+    return simulate_prefill(works_per_chunk, launch_mode, machine,
+                            overlap_cpu_gpu).now

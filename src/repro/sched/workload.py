@@ -640,13 +640,20 @@ def scheduling_penalty(expert_token_counts: np.ndarray, n_threads: int,
     ]
     if not items:
         return 1.0
-    baseline = dynamic_schedule(items, n_threads, chunk_us=1.0,
-                                barrier_us=0.0, per_chunk_overhead_us=0.0)
     if dynamic:
         policy = dynamic_schedule(items, n_threads, chunk_us=4.0,
                                   barrier_us=0.0, per_chunk_overhead_us=0.05)
     else:
         policy = static_schedule(items, n_threads, barrier_us=0.0)
-    if baseline.makespan_us <= 0:
+    loads = [item.duration_us for item in items]
+    if all(load.is_integer() for load in loads):
+        # Integer loads split into unit chunks of exactly 1.0, so the
+        # unit-chunk work queue's makespan is ceil(N / threads) exactly.
+        baseline_us = float(-(-int(sum(loads)) // n_threads))
+    else:
+        baseline_us = dynamic_schedule(
+            items, n_threads, chunk_us=1.0, barrier_us=0.0,
+            per_chunk_overhead_us=0.0).makespan_us
+    if baseline_us <= 0:
         return 1.0
-    return max(1.0, policy.makespan_us / baseline.makespan_us)
+    return max(1.0, policy.makespan_us / baseline_us)

@@ -301,7 +301,7 @@ class ContinuousBatchingServer:
     # -- admission ----------------------------------------------------------
 
     def _request_pages(self, timed: TimedRequest, shared: int = 0) -> int:
-        prompt_len = len(np.atleast_1d(timed.request.prompt))
+        prompt_len = timed.request.prompt_len
         return self.pool.pages_needed(
             prompt_len + timed.request.max_new_tokens - shared)
 
@@ -410,7 +410,7 @@ class ContinuousBatchingServer:
                 active.append(ref)
                 continue
             del pending[ref]
-            prompt_len = len(np.atleast_1d(timed.request.prompt))
+            prompt_len = timed.request.prompt_len
             matched = (self.sessions.admit(timed, tokens, probe, clock)
                        if self.sessions is not None else 0)
             slot = self.pool.allocate()
@@ -792,7 +792,7 @@ class ContinuousBatchingServer:
             start_us=a.start_us,
             first_token_us=a.first_token_us,
             finish_us=clock,
-            prompt_tokens=len(np.atleast_1d(a.timed.request.prompt)),
+            prompt_tokens=a.timed.request.prompt_len,
             generated_tokens=a.emitted,
             timed_out=timed_out,
             priority=int(a.timed.priority),

@@ -47,8 +47,6 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from ..errors import ConfigError
 from ..faults.plan import FaultPlan, ReplicaFault
 from ..kernels.backend import resolve_backend
@@ -405,7 +403,7 @@ class FleetRouter:
         costs one batch-1 decode step at the smallest context bucket.
         """
         costs = self._probe.session.costs
-        prompt_len = len(np.atleast_1d(timed.request.prompt))
+        prompt_len = timed.request.prompt_len
         bucket = costs.prefill_bucket(prompt_len)
         return (costs.batched_prefill_us(bucket) / bucket * prompt_len
                 + costs.decode_step_us([1]) * timed.request.max_new_tokens)
@@ -471,7 +469,7 @@ class FleetRouter:
     @staticmethod
     def _request_key(timed: TimedRequest) -> tuple:
         return (timed.arrival_us,
-                int(len(np.atleast_1d(timed.request.prompt))),
+                timed.request.prompt_len,
                 int(timed.priority))
 
     def _close_epoch(self, replica: int,

@@ -16,7 +16,8 @@ import functools
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
 
-from ..core.engine import batched_decode_works, hybrid_chunk_works, run_prefill
+from ..core.engine import (batched_decode_works, hybrid_chunk_works,
+                           run_prefill_us)
 from ..errors import ConfigError
 from ..faults.injector import IDENTITY_PERTURBATION, StepPerturbation
 from ..hw.roofline import pcie_transfer_time_us
@@ -55,12 +56,13 @@ GEMM_DISPATCH_MODES = ("legacy", "per-expert", "grouped", "auto")
 @functools.lru_cache(maxsize=256)
 def _prefill_pass_us(system, preset, machine, dtype, backend,
                      prompt_len: int) -> float:
-    """One ``run_prefill`` pass, memoized per process by value: every cost
-    model pricing the same inputs -- each fleet replica epoch builds its
-    own -- shares one simulation per bucket, and the backend and the
-    machine it applied key every entry."""
-    return run_prefill(system, preset, machine, dtype, prompt_len=prompt_len,
-                       backend=backend).elapsed_us
+    """One prefill pass's ``run_prefill(...).elapsed_us``, timed without
+    recording (:func:`~repro.core.engine.run_prefill_us`) and memoized per
+    process by value: every cost model pricing the same inputs -- each
+    fleet replica epoch builds its own -- shares one pass per bucket, and
+    the backend and the machine it applied key every entry."""
+    return run_prefill_us(system, preset, machine, dtype,
+                          prompt_len=prompt_len, backend=backend)
 
 
 @functools.lru_cache(maxsize=256)
@@ -76,6 +78,18 @@ def _decode_works(system, preset, machine, dtype, backend,
         system, preset, machine, dtype, context_lens=[ctx] * batch,
         ari_threshold=ari_threshold, backend=backend)
     return tuple(works), summary
+
+
+@functools.lru_cache(maxsize=256)
+def _stage_split(works: tuple[DecodeLayerWork, ...],
+                 config: DecodeScheduleConfig, machine, pipeline: PipelineConfig,
+                 price: float) -> tuple[float, tuple[float, ...]]:
+    """``(staged interval / price, stage-boundary bytes)`` of one step's
+    clean works, memoized per process by value like
+    :func:`~repro.sched.decode.batched_step_time_us`: each fleet replica
+    epoch's cost model derives the same splits, so they are derived once."""
+    return (staged_interval_us(works, config, machine, pipeline) / price,
+            stage_boundary_bytes(works, pipeline))
 
 
 def _per_distinct(build, *columns) -> list:
@@ -507,16 +521,14 @@ class BatchCostModel:
         if self._pipeline is None:
             return 1.0, ()
         shape = self.step_shape(context_lens, chunk_tokens)
-        if shape not in self._pipeline_factors:
-            works = self._works_for(shape)
-            cfg = (self._hybrid_schedule_config() if shape.chunk
-                   else self._schedule_config())
-            staged = staged_interval_us(works, cfg, self.machine,
-                                        self._pipeline)
-            self._pipeline_factors[shape] = (
-                staged / self._price(shape),
-                stage_boundary_bytes(works, self._pipeline))
-        return self._pipeline_factors[shape]
+        factors = self._pipeline_factors.get(shape)
+        if factors is None:
+            factors = self._pipeline_factors[shape] = _stage_split(
+                tuple(self._works_for(shape)),
+                (self._hybrid_schedule_config() if shape.chunk
+                 else self._schedule_config()),
+                self.machine, self._pipeline, self._price(shape))
+        return factors
 
     def staged_decode_step_us(self, context_lens: list[int]) -> float:
         """Pipelined steady-state cost of one clean decode iteration.

@@ -28,7 +28,7 @@ request's prefill pass and first decode step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -53,12 +53,16 @@ class GenerationRequest:
     greedy: bool = True
     temperature: float = 1.0
     stop_token: Optional[int] = None
+    # The prompt's token count, read once here for every scheduler.
+    prompt_len: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.max_new_tokens <= 0:
             raise ConfigError("max_new_tokens must be positive")
-        if len(np.atleast_1d(self.prompt)) == 0:
+        prompt_len = len(np.atleast_1d(self.prompt))
+        if prompt_len == 0:
             raise ConfigError("prompt must not be empty")
+        object.__setattr__(self, "prompt_len", prompt_len)
 
 
 @dataclass

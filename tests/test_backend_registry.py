@@ -20,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import KTRANSFORMERS, batched_decode_works, run_prefill
+from repro.core import (KTRANSFORMERS, batched_decode_works, run_prefill,
+                        run_prefill_us)
 from repro.errors import ConfigError
 from repro.hw import KT_AMX, KT_AVX512, paper_testbed
 from repro.kernels import (
@@ -263,15 +264,15 @@ class TestServingIntegration:
     def test_prefill_price_shared_across_cost_models_not_backends(
             self, session, monkeypatch):
         """Cost models pricing the same inputs (a fleet's replica epochs)
-        simulate each prefill bucket once per process; another backend
+        time each prefill bucket once per process; another backend
         prices its own pass."""
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(kwargs["backend"])
-            return run_prefill(*args, **kwargs)
+            return run_prefill_us(*args, **kwargs)
 
-        monkeypatch.setattr(pricing, "run_prefill", counted)
+        monkeypatch.setattr(pricing, "run_prefill_us", counted)
         pricing._prefill_pass_us.cache_clear()
         first = BatchCostModel(session).batched_prefill_us(100)
         assert BatchCostModel(session).batched_prefill_us(100) == first
