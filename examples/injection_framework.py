@@ -1,44 +1,22 @@
 """The YAML module-injection framework (Section 5, Listing 1).
 
-Adapts a stock MoE transformer with a single YAML document: fused
-CPU MoE operators with Int8 experts and deferral metadata, FlashInfer-style
-attention on the GPU, and Marlin-quantized linear layers (everything except
+Adapts a stock MoE transformer with a single YAML rule file,
+``injection_rules.yaml`` next to this script: fused CPU MoE operators
+with Int8 experts and deferral metadata, FlashInfer-style attention on
+the GPU, and Marlin-quantized linear layers (everything except
 ``lm_head``).  Shows the module tree before and after, and verifies the
 model still works.
 
 Run:  python examples/injection_framework.py
 """
 
+from pathlib import Path
+
 import numpy as np
 
-from repro import MoETransformer, inject, parse_rules, tiny_config
+from repro import MoETransformer, inject, load_rules, tiny_config
 
-LISTING_1 = """
-- match:
-    class: MoEBlock
-  replace:
-    class: operators.experts.FusedMoE
-    device: "cpu"
-    kwargs:
-      backend: "hybrid_AMX_AVX512"
-      data_type: "int8"
-      n_deferred_experts: 2
-
-- match:
-    name: "layers\\\\..*\\\\.self_attn$"
-  replace:
-    class: operators.attention.FlashInferMLA
-    device: "cuda:0"
-
-- match:
-    name: "^(?!lm_head$).*"
-    class: Linear
-  replace:
-    class: operators.linear.MarlinLinear
-    device: "cuda:0"
-    kwargs:
-      data_type: "int4"
-"""
+RULES = Path(__file__).with_name("injection_rules.yaml")
 
 
 def show_tree(model, title):
@@ -58,7 +36,7 @@ def main() -> None:
 
     show_tree(model, "Before injection:")
 
-    rules = parse_rules(LISTING_1)
+    rules = load_rules(RULES)
     report = inject(model, rules)
     print(f"Applied {len(rules)} rules -> {report.count()} replacements:")
     for path, cls in sorted(report.replacements.items()):

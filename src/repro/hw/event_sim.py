@@ -13,10 +13,8 @@ Key properties:
 - a task becomes *ready* only when all its dependencies finish, and every
   resource runs one task at a time, in the order tasks became ready;
 - :meth:`CompiledGraph.retime` times a frozen topology for any
-  durations, so a topology priced many times (a decode step's) is
-  recorded once.  A *contention-free* topology, in which no task ever
-  waits for its resource, is timed by one critical-path pass; any other
-  runs the FIFO event loop.  Both give bit-identical times;
+  durations with the FIFO event loop, so a topology priced many times
+  (an Expert Deferral or per-kernel decode step's) is recorded once;
 - every task's `(resource, start, end)` triple is recorded, giving exact
   utilization and overlap accounting for the timeline figures.
 """
@@ -114,16 +112,11 @@ class Simulator:
         return task
 
     def compile(self) -> "CompiledGraph":
-        """The recorded topology, frozen for :meth:`CompiledGraph.retime`
-        once it is decided whether the graph is contention-free."""
-        return self._frozen(_critical_path_preds(
-            len(self.resource_ids), self.res, self.deps))
-
-    def _frozen(self, preds: Optional[Preds]) -> "CompiledGraph":
+        """The recorded topology, frozen for :meth:`CompiledGraph.retime`."""
         return CompiledGraph(
             self.resource_names, tuple(self.names), tuple(self.res),
             tuple(map(tuple, self.dependents)), tuple(map(len, self.deps)),
-            tuple(t for t, deps in enumerate(self.deps) if not deps), preds)
+            tuple(t for t, deps in enumerate(self.deps) if not deps))
 
     def scaled_durations(self) -> list[float]:
         """The recorded durations, scaled by ``perturb`` when one is set."""
@@ -133,13 +126,8 @@ class Simulator:
                        self.names, self.perturb)
 
     def run(self) -> float:
-        """Time every recorded task from zero; returns the final time.
-
-        A recording is timed once, so it is frozen undecided and takes the
-        event loop: deciding whether a graph is contention-free costs more
-        than the critical-path pass saves on a single timing.
-        """
-        self.starts, self.ends, self.now = self._frozen(None).retime(
+        """Time every recorded task from zero; returns the final time."""
+        self.starts, self.ends, self.now = self.compile().retime(
             self.scaled_durations())
         return self.now
 
@@ -169,60 +157,11 @@ def _scaled(durations: Sequence[float], res: Sequence[int],
             for d, r, name in zip(durations, res, names)]
 
 
-# Every task's transitively reduced dependencies, split as ``(first,
-# rest)``: task t depends on ``first[t]`` and each of ``rest[t]``.  A
-# root's ``first`` is the task count, a slot the pass keeps at 0.0.
-Preds = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
-
-
-def _critical_path_preds(n_res: int, res: Sequence[int],
-                         deps: Sequence[tuple[int, ...]],
-                         ) -> Optional[Preds]:
-    """Every task's transitively reduced dependencies if the graph is
-    contention-free, else None.
-
-    A graph is contention-free when, on every resource, each task is
-    reachable from the task recorded on that resource before it.  Then
-    the tasks on a resource form a chain, and a task's ancestors on a
-    resource are a prefix of that chain: ``before[t][r]``, the latest
-    task on ``r`` that ``t`` depends on directly or transitively (-1 for
-    none), stands for all of them.  So ``t`` passes when ``before[t]``
-    names the previous task on its resource, and a dependency ``d`` is
-    implied by another one exactly when some dependency's ``before``
-    reaches ``d`` on ``d``'s resource.
-    """
-    n = len(res)
-    last = [-1] * n_res            # latest task recorded on each resource
-    before: list[list[int]] = []
-    first: list[int] = []
-    rest: list[tuple[int, ...]] = []
-    for t, (r, ds) in enumerate(zip(res, deps)):
-        if len(ds) == 1:
-            seen = before[ds[0]][:]
-        elif ds:
-            seen = list(map(max, *[before[d] for d in ds]))
-            ds = [d for d in ds if seen[res[d]] < d]
-        else:
-            seen = [-1] * n_res
-        for d in ds:               # kept dependencies sit on distinct chains
-            seen[res[d]] = d
-        if seen[r] != last[r]:
-            return None
-        last[r] = t
-        before.append(seen)
-        first.append(ds[0] if ds else n)
-        rest.append(tuple(ds[1:]))
-    return tuple(first), tuple(rest)
-
-
 @dataclass(frozen=True)
 class CompiledGraph:
     """A task-graph topology: task ``t`` runs on resource ``res[t]`` (named
     ``resources[res[t]]``), waits for ``n_deps[t]`` tasks and releases
-    ``dependents[t]``; ``roots`` are the tasks without dependencies.
-    ``preds`` holds every task's transitively reduced dependencies as
-    ``(first, rest)`` when the graph is contention-free (no task ever
-    waits for its resource), else None."""
+    ``dependents[t]``; ``roots`` are the tasks without dependencies."""
 
     resources: tuple[str, ...]
     names: tuple[str, ...]
@@ -230,7 +169,6 @@ class CompiledGraph:
     dependents: tuple[tuple[int, ...], ...]
     n_deps: tuple[int, ...]
     roots: tuple[int, ...]
-    preds: Optional[Preds]
 
     def retime(self, durations: Sequence[float],
                perturb: Optional[DurationScaling] = None,
@@ -238,9 +176,6 @@ class CompiledGraph:
         """Each task's start and end time and the final time, task ``t``
         lasting ``durations[t]`` scaled by ``perturb``.  Durations must be
         finite and non-negative (:meth:`Simulator.submit` checks them).
-
-        A contention-free graph takes :meth:`_critical_path`, any other
-        :meth:`_event_loop`; the two agree bit for bit wherever both apply.
         """
         if len(durations) != len(self.res):
             raise SimulationError(
@@ -248,41 +183,11 @@ class CompiledGraph:
         if perturb is not None:
             durations = _scaled(durations, self.res, self.resources,
                                 self.names, perturb)
-        if self.preds is None:
-            return self._event_loop(durations)
-        return self._critical_path(durations)
-
-    def _critical_path(self, durations: Sequence[float],
-                       ) -> tuple[list[float], list[float], float]:
-        """One forward pass: each task starts at its dependencies' latest
-        end.
-
-        In a contention-free graph a task's resource is idle by the time
-        its last dependency ends, since every earlier task on it is an
-        ancestor and every later one a descendant; so the event loop
-        starts it then, at the end time of the event that readied it.
-        ``max`` picks that same float and each end is the same
-        ``start + duration`` add, so the times match the loop bit for bit,
-        and the final time is the latest end, the loop's last event.
-        """
-        n = len(durations)
-        starts = [0.0] * n
-        ends = [0.0] * (n + 1)
-        first, rest = self.preds
-        for t, a, more, duration in zip(range(n), first, rest, durations):
-            start = ends[a]
-            if more:
-                for d in more:
-                    if ends[d] > start:
-                        start = ends[d]
-            starts[t] = start
-            ends[t] = start + duration
-        ends.pop()
-        return starts, ends, max(ends, default=0.0)
+        return self._event_loop(durations)
 
     def _event_loop(self, durations: Sequence[float],
                     ) -> tuple[list[float], list[float], float]:
-        """The FIFO event loop, for graphs where tasks queue.
+        """The FIFO event loop.
 
         Events fire in ``(time, seq)`` order, ``seq`` being scheduling
         order: a task's end, then each resource dispatch it makes.  Ends

@@ -1,117 +1,19 @@
-"""Paged KV cache with optional host-memory offloading (functional).
+"""Paged KV-cache accounting for the serving engine.
 
 Section 5 lists KV-cache offloading among the techniques the injection
-framework enables.  This module provides the functional substrate: a
-vLLM-style paged cache whose pages can live on the GPU or be *offloaded*
-to host memory.  Attention math is identical wherever pages live (tested
-against the contiguous cache); placement only changes the simulated cost
-(see :mod:`repro.sched.kv_offload`).  :class:`PagedKVPool` is the
-serving engine's page accountant over the same page size.
+framework enables.  :class:`PagedKVPool` is the serving engine's page
+accountant: a vLLM-style fixed page size over one GPU page budget, with
+slots that can be stashed in host memory and brought back.  Placement
+only changes the simulated cost (see :mod:`repro.sched.kv_offload`);
+attention over real K/V uses the contiguous
+:class:`~repro.model.kvcache.KVCache`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from ..errors import ConfigError, KVCacheError
 
 DEFAULT_PAGE_TOKENS = 16
-
-
-@dataclass
-class Page:
-    """One fixed-size block of K/V entries."""
-
-    keys: np.ndarray       # (page_tokens, heads, head_dim)
-    values: np.ndarray
-    used: int = 0
-    on_gpu: bool = True
-
-
-class PagedKVCache:
-    """Drop-in replacement for :class:`repro.model.kvcache.KVCache`.
-
-    Storage is a list of fixed-size pages plus a logical length; gather
-    materializes the contiguous view the attention kernel consumes.  Pages
-    beyond ``gpu_budget_tokens`` are marked offloaded (host-resident).
-    """
-
-    def __init__(self, n_heads: int, head_dim: int,
-                 page_tokens: int = DEFAULT_PAGE_TOKENS,
-                 gpu_budget_tokens: int | None = None) -> None:
-        if n_heads <= 0 or head_dim <= 0 or page_tokens <= 0:
-            raise ConfigError("cache dimensions must be positive")
-        self.n_heads = n_heads
-        self.head_dim = head_dim
-        self.page_tokens = page_tokens
-        self.gpu_budget_tokens = gpu_budget_tokens
-        self._pages: list[Page] = []
-        self._len = 0
-
-    def __len__(self) -> int:
-        return self._len
-
-    @property
-    def n_pages(self) -> int:
-        return len(self._pages)
-
-    def _new_page(self) -> Page:
-        shape = (self.page_tokens, self.n_heads, self.head_dim)
-        page = Page(keys=np.zeros(shape, dtype=np.float32),
-                    values=np.zeros(shape, dtype=np.float32))
-        self._pages.append(page)
-        self._rebalance()
-        return page
-
-    def _rebalance(self) -> None:
-        """Keep the most recent ``gpu_budget_tokens`` worth of pages on GPU."""
-        if self.gpu_budget_tokens is None:
-            return
-        budget_pages = max(1, self.gpu_budget_tokens // self.page_tokens)
-        for i, page in enumerate(self._pages):
-            page.on_gpu = i >= len(self._pages) - budget_pages
-
-    def append(self, k: np.ndarray, v: np.ndarray) -> None:
-        k = np.asarray(k, dtype=np.float32)
-        v = np.asarray(v, dtype=np.float32)
-        expected = (k.shape[0], self.n_heads, self.head_dim)
-        if k.shape != expected or v.shape != expected:
-            raise ConfigError(
-                f"cache append shape {k.shape}/{v.shape}, expected {expected}"
-            )
-        for row in range(k.shape[0]):
-            page = self._pages[-1] if self._pages else self._new_page()
-            if page.used == self.page_tokens:
-                page = self._new_page()
-            page.keys[page.used] = k[row]
-            page.values[page.used] = v[row]
-            page.used += 1
-            self._len += 1
-
-    def keys(self) -> np.ndarray:
-        return self._gather("keys")
-
-    def values(self) -> np.ndarray:
-        return self._gather("values")
-
-    def _gather(self, field: str) -> np.ndarray:
-        if not self._pages:
-            return np.zeros((0, self.n_heads, self.head_dim), dtype=np.float32)
-        parts = [getattr(p, field)[:p.used] for p in self._pages]
-        return np.concatenate(parts, axis=0)
-
-    def offloaded_tokens(self) -> int:
-        """Tokens whose pages currently live in host memory."""
-        return sum(p.used for p in self._pages if not p.on_gpu)
-
-    def gpu_tokens(self) -> int:
-        return sum(p.used for p in self._pages if p.on_gpu)
-
-    def reset(self) -> None:
-        self._pages.clear()
-        self._len = 0
 
 
 class PagedKVPool:
@@ -121,7 +23,7 @@ class PagedKVPool:
     budget (the GPU KV/VRAM allowance) backs any number of logical request
     *slots*.  A slot is a token count holding ``pages_needed(tokens)``
     whole pages -- the engine prices KV occupancy and transfers but never
-    reads K/V back (attention over real K/V uses :class:`PagedKVCache`).
+    reads K/V back.
     Exhausting the budget raises :class:`~repro.errors.KVCacheError`, which
     the continuous-batching scheduler treats as "stop admitting".
     """

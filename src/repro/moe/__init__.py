@@ -8,7 +8,6 @@ from .affinity import (
 from .experts import (
     ExpertWeights,
     expert_forward,
-    expert_weight_bytes,
     make_expert,
     silu,
 )
@@ -18,7 +17,6 @@ from .numa import (
     OBLIVIOUS_STREAMING_EFFICIENCY,
     MoELayerDims,
     NumaStrategy,
-    TPShardedExpert,
     expert_time_us,
     moe_layer_time_us,
     oblivious_cpu,
@@ -69,12 +67,11 @@ from .scheduling import (
 
 __all__ = [
     "DEFAULT_CACHE_HIT_DISCOUNT", "AffinityOutcome", "affinity_schedule",
-    "ExpertWeights", "expert_forward", "expert_weight_bytes",
-    "make_expert", "silu",
+    "ExpertWeights", "expert_forward", "make_expert", "silu",
     "FusedExpertWeights", "FusedMoE", "fuse_expert", "moe_forward_reference",
     "OBLIVIOUS_BANDWIDTH_EFFICIENCY", "OBLIVIOUS_STREAMING_EFFICIENCY",
     "MoELayerDims", "NumaStrategy",
-    "TPShardedExpert", "expert_time_us", "moe_layer_time_us", "oblivious_cpu",
+    "expert_time_us", "moe_layer_time_us", "oblivious_cpu",
     "oblivious_efficiency",
     "RouterConfig", "RoutingResult", "balanced_synthetic_logits", "route",
     "skewed_synthetic_logits",

@@ -73,10 +73,3 @@ def expert_forward(
     u = kernel.run(x, expert.up)
     h = silu(g) * u
     return kernel.run(h, expert.down)
-
-
-def expert_weight_bytes(
-    hidden_size: int, intermediate_size: int, dtype: DType
-) -> float:
-    """Storage footprint of one expert's three projections."""
-    return 3.0 * hidden_size * intermediate_size * dtype.bytes_per_element

@@ -11,8 +11,7 @@ Three placements of routed-expert weights on a multi-socket machine:
   sharded column/row-wise across sockets, each socket computes on its local
   slice, and a lightweight reduce-scatter merges partial outputs.
 
-Both the timing model (used by the engine/benchmarks) and a functional
-sharded-execution path (used by correctness tests) are provided.
+This module is the timing model the engine and benchmarks use.
 """
 
 from __future__ import annotations
@@ -21,15 +20,10 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from ..errors import ConfigError
 from ..hw.roofline import CPUKernelProfile, cpu_gemm_time_us, cross_socket_transfer_time_us
 from ..hw.spec import CPUSpec, MachineSpec
-from ..kernels.base import CPUGemmKernel
 from ..tensor.dtypes import DType
-from ..tensor.layout import pack_matrix, unpack_matrix
-from .experts import ExpertWeights, silu
 
 # A NUMA-oblivious allocation interleaves pages uniformly, so a fraction
 # 1/S of accesses are local (full 220 GB/s) and (S-1)/S remote (125 GB/s
@@ -177,63 +171,3 @@ def moe_layer_time_us(
     bytes_exchanged = tokens_total * dims.hidden * 2.0 * (shards - 1) / shards
     comm = cross_socket_transfer_time_us(bytes_exchanged, machine.interconnect)
     return per_socket + comm
-
-
-# ---------------------------------------------------------------------------
-# Functional tensor-parallel sharding (correctness path).
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TPShardedExpert:
-    """An expert split into per-socket shards along the intermediate dim.
-
-    Socket ``s`` holds Gate/Up column slices and the matching Down row
-    slice, so ``sum_s forward_partial(s, x)`` equals the full expert output
-    (the reduce-scatter in hardware).
-    """
-
-    shards: list[ExpertWeights]
-
-    @classmethod
-    def split(cls, expert: ExpertWeights, n_shards: int) -> "TPShardedExpert":
-        if n_shards <= 0:
-            raise ConfigError("n_shards must be positive")
-        inter = expert.intermediate_size
-        if inter % n_shards != 0:
-            raise ConfigError(
-                f"intermediate size {inter} not divisible by {n_shards} shards"
-            )
-        gate = unpack_matrix(expert.gate)
-        up = unpack_matrix(expert.up)
-        down = unpack_matrix(expert.down)
-        dt = expert.gate.dtype
-        step = inter // n_shards
-        shards = []
-        for s in range(n_shards):
-            lo, hi = s * step, (s + 1) * step
-            shards.append(ExpertWeights(
-                gate=pack_matrix(gate[:, lo:hi], dt),
-                up=pack_matrix(up[:, lo:hi], dt),
-                down=pack_matrix(down[lo:hi, :], dt),
-            ))
-        return cls(shards)
-
-    @property
-    def n_shards(self) -> int:
-        return len(self.shards)
-
-    def forward_partial(
-        self, shard: int, x: np.ndarray, kernel: CPUGemmKernel
-    ) -> np.ndarray:
-        """One socket's partial output (before the reduce-scatter sum)."""
-        e = self.shards[shard]
-        g = kernel.run(x, e.gate)
-        u = kernel.run(x, e.up)
-        return kernel.run(silu(g) * u, e.down)
-
-    def forward(self, x: np.ndarray, kernel: CPUGemmKernel) -> np.ndarray:
-        """Full output: the sum of all per-socket partials."""
-        out = self.forward_partial(0, x, kernel)
-        for s in range(1, self.n_shards):
-            out = out + self.forward_partial(s, x, kernel)
-        return out

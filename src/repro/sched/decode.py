@@ -364,9 +364,10 @@ def graph_chain_end(start: float, launch: float, layers: Sequence[tuple],
 
     Per layer: attention -> submit -> to-CPU -> routed experts -> to-GPU
     -> sync -> shared -> merge (a dense layer is attention alone).  No
-    task waits for its resource, so these are the ``max`` picks and
-    ``start + duration`` adds of ``CompiledGraph._critical_path``; the
-    in-graph submit and sync are free.
+    task waits for its resource, so each task starts when its latest
+    dependency ends: these are the event loop's ``max`` picks and
+    ``start + duration`` adds, in its float order; the in-graph submit
+    and sync are free.
     """
     end = start + launch
     for attn, cpu in layers:
@@ -383,7 +384,9 @@ def graph_chain_end(start: float, launch: float, layers: Sequence[tuple],
 def _decode_topology(cpu_layers: tuple[bool, ...], config: DecodeScheduleConfig,
                      n_steps: int) -> tuple[CompiledGraph, tuple[int, ...]]:
     """The compiled chain of ``n_steps`` decode steps and each step's head.
-    Works and machine only set durations, so placeholders record it."""
+    Works and machine only set durations, so placeholders record it.
+    Pricing compiles only Expert Deferral and per-kernel chains, whose
+    tasks queue for their resources."""
     works = [DecodeLayerWork(1.0, 1.0, float(cpu), 1.0, 1)
              for cpu in cpu_layers]
     sim = Simulator()
@@ -397,7 +400,7 @@ def _retime_decode_chain(
     """Task start and end times (by submission order), final time and
     step heads of ``n_steps`` chained decode steps: one step is recorded
     with the real builders, its durations are scaled by ``perturb`` and
-    tiled over the compiled chain."""
+    tiled over the compiled chain, which the FIFO event loop times."""
     graph, heads = _decode_topology(
         tuple(w.cpu_routed_us > 0.0 for w in works), config, n_steps)
     step = Simulator(perturb)

@@ -11,9 +11,7 @@ loop at runtime:
   its clock, the finished-request timings, shed records, and queue
   depth; the controller folds them into fixed-duration observation
   windows (windowed TTFT/TPOT percentiles, completion/shed rates, mean
-  queue depth), the same quantities
-  :meth:`~repro.serving.metrics.ServingStats.windowed` exposes for
-  debugging;
+  queue depth);
 - **objective** -- per window, SLO-attaining completions per second
   minus a shed penalty, EWMA-smoothed across windows (the
   ``core/adaptive.py`` thresholding idiom: smooth the signal, then act
@@ -201,8 +199,7 @@ class OnlineController:
         self._pending: tuple[_KnobState, int | None, float] | None = None
         self._consumed_timings = 0
         self._consumed_shed = 0
-        # Per-window accumulators; TTFT/TPOT ride RollingWindows so the
-        # percentile signal matches ServingStats.windowed exactly.
+        # Per-window accumulators; TTFT/TPOT ride RollingWindows.
         self._ttft = RollingWindow(config.window_us)
         self._tpot = RollingWindow(config.window_us)
         self._attained = 0

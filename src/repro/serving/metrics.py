@@ -106,14 +106,9 @@ class RollingWindow:
     Samples are ``(t_us, value)`` pairs appended in non-decreasing time
     order; every query is evaluated *as of* a clock instant and covers
     the half-open interval ``(now_us - window_us, now_us]`` -- a sample
-    landing exactly one window ago has just aged out.  Unlike the
-    whole-run :func:`percentiles` helper, percentile queries over an
-    empty window return 0.0 rather than raising: windows go empty
-    routinely under bursty traffic, and the control plane treats "no
-    signal this window" as a zero, not an error.  ``rate_per_s``
-    divides the window's sample count by the window span, so it doubles
-    as a rate counter (add samples with the default ``value=1.0`` to
-    count events).
+    landing exactly one window ago has just aged out.  Windows go empty
+    routinely under bursty traffic; :meth:`values` then returns an empty
+    list, which the control plane reads as "no signal this window".
     """
 
     def __init__(self, window_us: float) -> None:
@@ -123,7 +118,7 @@ class RollingWindow:
         self._times: deque[float] = deque()
         self._values: deque[float] = deque()
 
-    def add(self, t_us: float, value: float = 1.0) -> None:
+    def add(self, t_us: float, value: float) -> None:
         """Append one sample; timestamps must be non-decreasing."""
         if self._times and t_us < self._times[-1]:
             raise ConfigError(
@@ -131,40 +126,14 @@ class RollingWindow:
         self._times.append(float(t_us))
         self._values.append(float(value))
 
-    def _trim(self, now_us: float) -> None:
+    def values(self, now_us: float) -> list[float]:
+        """The sample values currently inside ``(now_us - window, now_us]``;
+        older samples are dropped."""
         cutoff = now_us - self.window_us
         while self._times and self._times[0] <= cutoff:
             self._times.popleft()
             self._values.popleft()
-
-    def values(self, now_us: float) -> list[float]:
-        """The sample values currently inside ``(now_us - window, now_us]``."""
-        self._trim(now_us)
         return list(self._values)
-
-    def count(self, now_us: float) -> int:
-        """Number of samples inside the window as of ``now_us``."""
-        self._trim(now_us)
-        return len(self._values)
-
-    def rate_per_s(self, now_us: float) -> float:
-        """Samples per second over the window span (0 when empty)."""
-        return self.count(now_us) / (self.window_us / 1e6)
-
-    def mean(self, now_us: float) -> float:
-        """Mean of the windowed values (0 when the window is empty)."""
-        vals = self.values(now_us)
-        return sum(vals) / len(vals) if vals else 0.0
-
-    def p50(self, now_us: float) -> float:
-        """Windowed median (0 when the window is empty)."""
-        vals = self.values(now_us)
-        return percentile(vals, 50) if vals else 0.0
-
-    def p95(self, now_us: float) -> float:
-        """Windowed 95th percentile (0 when the window is empty)."""
-        vals = self.values(now_us)
-        return percentile(vals, 95) if vals else 0.0
 
 
 @dataclass(frozen=True)
@@ -543,44 +512,6 @@ class ServingStats:
                      self.controller):
             if part is not None:
                 out.update(part.summary())
-        return out
-
-    def windowed(self, window_us: float, now_us: float,
-                 slo: "ServingSLO | None" = None) -> dict[str, float]:
-        """Rolling-window latency percentiles and rate counters.
-
-        Summarizes only the requests that *finished* (and sheds that
-        were recorded) inside ``(now_us - window_us, now_us]`` -- the
-        signal set the online controller observes, exposed standalone
-        for debugging.  Percentiles over an empty window come back 0.0
-        and rates come back as true zeros, mirroring
-        :class:`RollingWindow` semantics.  With ``slo`` given, windowed
-        SLO attainment (over the window's completions plus sheds) is
-        included as ``attainment``.
-        """
-        if window_us <= 0:
-            raise ConfigError("window_us must be positive")
-        lo = now_us - window_us
-        done = [t for t in self.timings if lo < t.finish_us <= now_us]
-        sheds = [s for s in self.shed if lo < s.arrival_us <= now_us]
-        window_s = window_us / 1e6
-        ttfts = [t.ttft_us for t in done]
-        tpots = [t.tpot_us for t in done if t.tpot_us > 0]
-        out = {
-            "window_us": float(window_us),
-            "completed": float(len(done)),
-            "shed": float(len(sheds)),
-            "completions_per_s": len(done) / window_s,
-            "shed_per_s": len(sheds) / window_s,
-            "ttft_p50_ms": (percentile(ttfts, 50) / 1e3 if ttfts else 0.0),
-            "ttft_p95_ms": (percentile(ttfts, 95) / 1e3 if ttfts else 0.0),
-            "tpot_p50_ms": (percentile(tpots, 50) / 1e3 if tpots else 0.0),
-            "tpot_p95_ms": (percentile(tpots, 95) / 1e3 if tpots else 0.0),
-        }
-        if slo is not None:
-            good = sum(1 for t in done if slo.met_by(t) and not t.timed_out)
-            submitted = len(done) + len(sheds)
-            out["attainment"] = good / submitted if submitted else 0.0
         return out
 
     def class_summary(self) -> dict[str, dict[str, float]]:

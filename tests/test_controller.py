@@ -1,7 +1,7 @@
 """Unit tests for the online control plane (ISSUE 9).
 
 Covers the windowed-signal substrate (``RollingWindow`` boundary and
-empty-window semantics, ``ServingStats.windowed``), the controller's
+empty-window semantics), the controller's
 decision mechanics driven directly through ``tick`` (warmup, probe
 moves, guarded rollback, ladder clamping, window alignment), the
 ``ControllerStats`` trace/summary surface, the fleet-level routing
@@ -43,20 +43,19 @@ def test_rolling_window_validation():
     with pytest.raises(ConfigError):
         RollingWindow(-1.0)
     win = RollingWindow(100.0)
-    win.add(10.0)
+    win.add(10.0, 1.0)
     with pytest.raises(ConfigError):
-        win.add(9.0)     # timestamps must be non-decreasing
-    win.add(10.0)        # equal timestamps are fine
+        win.add(9.0, 1.0)     # timestamps must be non-decreasing
+    win.add(10.0, 1.0)        # equal timestamps are fine
 
 
 def test_rolling_window_empty_is_zero_not_error():
+    """An empty window reads as no samples, not an error, whether
+    nothing arrived yet or everything aged out."""
     win = RollingWindow(100.0)
-    assert win.count(50.0) == 0
     assert win.values(50.0) == []
-    assert win.rate_per_s(50.0) == 0.0
-    assert win.mean(50.0) == 0.0
-    assert win.p50(50.0) == 0.0
-    assert win.p95(50.0) == 0.0
+    win.add(60.0, 3.0)
+    assert win.values(160.0) == []
 
 
 def test_rolling_window_boundary_half_open():
@@ -70,22 +69,11 @@ def test_rolling_window_boundary_half_open():
     # Trimming is permanent (the clock only moves forward).
     win.add(200.0, 7.0)
     assert win.values(200.0) == [7.0]
-
-
-def test_rolling_window_stats_and_rates():
-    win = RollingWindow(1_000_000.0)          # 1 s window
+    # A sliding clock drops the oldest samples first, in arrival order.
     for i in range(10):
-        win.add(i * 1000.0, float(i))
-    now = 9000.0
-    assert win.count(now) == 10
-    assert win.rate_per_s(now) == pytest.approx(10.0)
-    assert win.mean(now) == pytest.approx(4.5)
-    assert win.p50(now) == pytest.approx(4.5)
-    assert win.p95(now) == pytest.approx(8.55)
-    # Advance past the first half of the samples.
-    later = 1_004_000.0
-    assert win.values(later) == [5.0, 6.0, 7.0, 8.0, 9.0]
-    assert win.rate_per_s(later) == pytest.approx(5.0)
+        win.add(300.0 + i * 10.0, float(i))
+    assert win.values(390.0) == [float(i) for i in range(10)]
+    assert win.values(444.0) == [5.0, 6.0, 7.0, 8.0, 9.0]
 
 
 def _timing(arrival, finish, n_tokens=4, ttft_us=1000.0):
@@ -93,36 +81,6 @@ def _timing(arrival, finish, n_tokens=4, ttft_us=1000.0):
         arrival_us=arrival, start_us=arrival,
         first_token_us=min(arrival + ttft_us, finish), finish_us=finish,
         prompt_tokens=8, generated_tokens=n_tokens)
-
-
-def test_stats_windowed_empty_window():
-    stats = ServingStats()
-    out = stats.windowed(window_us=1e6, now_us=5e6, slo=WIDE_SLO)
-    assert out["completed"] == 0.0 and out["shed"] == 0.0
-    assert out["completions_per_s"] == 0.0 and out["shed_per_s"] == 0.0
-    assert out["ttft_p95_ms"] == 0.0 and out["tpot_p50_ms"] == 0.0
-    assert out["attainment"] == 0.0
-    with pytest.raises(ConfigError):
-        stats.windowed(window_us=0.0, now_us=5e6)
-
-
-def test_stats_windowed_filters_by_finish_time():
-    stats = ServingStats()
-    stats.add(_timing(0.0, 1e6))          # finish exactly one window old
-    stats.add(_timing(0.5e6, 1.5e6))      # inside
-    stats.add(_timing(1e6, 2.0e6))        # finish exactly at now: inside
-    stats.add(_timing(1e6, 2.5e6))        # finishes after now: out
-    stats.record_shed(1.2e6)              # arrival inside the window
-    stats.record_shed(0.9e6)              # arrival aged out
-    out = stats.windowed(window_us=1e6, now_us=2.0e6, slo=WIDE_SLO)
-    assert out["completed"] == 2.0
-    assert out["shed"] == 1.0
-    assert out["completions_per_s"] == pytest.approx(2.0)
-    assert out["shed_per_s"] == pytest.approx(1.0)
-    assert out["ttft_p50_ms"] == pytest.approx(1.0)
-    assert out["attainment"] == pytest.approx(2 / 3)
-    # Without an SLO there is no attainment key.
-    assert "attainment" not in stats.windowed(window_us=1e6, now_us=2.0e6)
 
 
 # --- ControllerConfig validation --------------------------------------------

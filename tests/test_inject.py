@@ -1,5 +1,7 @@
 """Tests for the YAML injection framework (Section 5, Listing 1)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,16 @@ from repro.inject import (
     FusedMoEOperator,
     MarlinLinear,
     inject,
+    load_rules,
     parse_rules,
     resolve_class,
 )
 from repro.kernels import AVX512Kernel, HybridKernel
 from repro.model import Linear, MoETransformer, tiny_config
 from repro.model.moe_layer import MoEBlock
+
+EXAMPLE_RULES = (Path(__file__).resolve().parent.parent / "examples"
+                 / "injection_rules.yaml")
 
 LISTING1_YAML = """
 - match:
@@ -54,6 +60,13 @@ class TestRuleParsing:
         assert len(rules) == 3
         assert rules[0].replace.kwargs["n_deferred_experts"] == 2
         assert rules[1].replace.device == "cuda:0"
+
+    def test_load_rules_reads_the_example_rule_file(self):
+        """The example's committed rule file loads as it parses, and it
+        is Listing 1."""
+        rules = load_rules(EXAMPLE_RULES)
+        assert rules == parse_rules(EXAMPLE_RULES.read_text())
+        assert rules == parse_rules(LISTING1_YAML)
 
     def test_empty_document(self):
         assert parse_rules("") == []

@@ -9,14 +9,13 @@ from repro.moe import (
     FusedMoE,
     RouterConfig,
     expert_forward,
-    expert_weight_bytes,
     fuse_expert,
     make_expert,
     moe_forward_reference,
     route,
     silu,
 )
-from repro.tensor import BF16, INT8
+from repro.tensor import INT8
 
 HIDDEN, INTER = 32, 48
 
@@ -137,7 +136,3 @@ def test_quantized_experts_close_to_bf16():
     # Same seeds -> same underlying weights; int8 output close, not exact.
     assert np.allclose(a, b, atol=0.05)
     assert not np.array_equal(a, b)
-
-
-def test_expert_weight_bytes():
-    assert expert_weight_bytes(100, 50, BF16) == 3 * 100 * 50 * 2

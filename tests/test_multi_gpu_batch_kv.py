@@ -1,12 +1,11 @@
-"""Tests for multi-GPU pipelining, batched decode, and KV offloading."""
+"""Tests for multi-GPU pipelining, batched decode, and KV offloading costs."""
 
-import numpy as np
 import pytest
 
 from repro.core import KTRANSFORMERS, decode_works, run_decode
 from repro.errors import ConfigError, SchedulingError
 from repro.hw import Trace, paper_testbed
-from repro.model import DS3, QW2, KVCache, PagedKVCache, MultiHeadAttention
+from repro.model import DS3, QW2
 from repro.sched import (
     PipelineConfig,
     gpu_kv_budget_tokens,
@@ -128,55 +127,6 @@ class TestBatchedDecode:
         with pytest.raises(ValueError):
             decode_layer_work(QW2, MACHINE, BF16, 32, KT_AVX512,
                               NumaStrategy.TENSOR_PARALLEL, 45, batch_size=0)
-
-
-class TestPagedKVCache:
-    def test_matches_contiguous_cache(self):
-        rng = np.random.default_rng(0)
-        plain = KVCache(2, 4)
-        paged = PagedKVCache(2, 4, page_tokens=3)
-        for __ in range(3):
-            k = rng.standard_normal((5, 2, 4)).astype(np.float32)
-            v = rng.standard_normal((5, 2, 4)).astype(np.float32)
-            plain.append(k, v)
-            paged.append(k, v)
-        assert np.allclose(plain.keys(), paged.keys())
-        assert np.allclose(plain.values(), paged.values())
-        assert len(paged) == 15
-        assert paged.n_pages == 5
-
-    def test_attention_works_over_paged_cache(self):
-        rng = np.random.default_rng(1)
-        attn = MultiHeadAttention(16, 4, rng=rng)
-        x = rng.standard_normal((6, 16)).astype(np.float32)
-        ref = attn(x, attn.make_cache())
-        paged = PagedKVCache(4, 4, page_tokens=2)
-        got = attn(x, paged)
-        assert np.allclose(got, ref, atol=1e-5)
-
-    def test_offload_marks_cold_pages(self):
-        cache = PagedKVCache(1, 2, page_tokens=4, gpu_budget_tokens=8)
-        cache.append(np.zeros((20, 1, 2)), np.zeros((20, 1, 2)))
-        assert cache.gpu_tokens() == 8
-        assert cache.offloaded_tokens() == 12
-
-    def test_no_budget_keeps_all_on_gpu(self):
-        cache = PagedKVCache(1, 2, page_tokens=4)
-        cache.append(np.zeros((10, 1, 2)), np.zeros((10, 1, 2)))
-        assert cache.offloaded_tokens() == 0
-
-    def test_reset(self):
-        cache = PagedKVCache(1, 2)
-        cache.append(np.ones((3, 1, 2)), np.ones((3, 1, 2)))
-        cache.reset()
-        assert len(cache) == 0 and cache.n_pages == 0
-
-    def test_bad_shapes_rejected(self):
-        cache = PagedKVCache(2, 4)
-        with pytest.raises(ConfigError):
-            cache.append(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)))
-        with pytest.raises(ConfigError):
-            PagedKVCache(0, 4)
 
 
 class TestKVOffloadCost:

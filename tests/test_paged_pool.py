@@ -1,18 +1,22 @@
 """Tests for the shared paged-KV pool behind the serving engine."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError, KVCacheError
-from repro.model import PagedKVCache, PagedKVPool
+from repro.model import PagedKVPool
 
 
-def _rows(rng, n, heads=2, dim=4):
-    k = rng.standard_normal((n, heads, dim)).astype(np.float32)
-    v = rng.standard_normal((n, heads, dim)).astype(np.float32)
-    return k, v
+def _rowwise(fills, n, page):
+    """Per-page fill counts after appending ``n`` rows one at a time to
+    pages of ``page`` tokens filled as ``fills``."""
+    fills = list(fills)
+    for _ in range(n):
+        if not fills or fills[-1] == page:
+            fills.append(0)
+        fills[-1] += 1
+    return fills
 
 
 class TestConstruction:
@@ -107,24 +111,20 @@ class TestGatherCorrectness:
 
     def test_matches_single_request_paged_cache(self):
         """Interleaved appends across slots hold the tokens and pages of
-        per-request caches fed the same rows."""
-        rng = np.random.default_rng(0)
+        per-request row-at-a-time fills of the same sizes."""
         pool = PagedKVPool(budget_tokens=256, page_tokens=8)
-        refs = {}
-        slots = {}
-        for name in ("a", "b", "c"):
-            slots[name] = pool.allocate()
-            refs[name] = PagedKVCache(n_heads=2, head_dim=4, page_tokens=8)
+        slots = {name: pool.allocate() for name in ("a", "b", "c")}
+        refs = {name: [] for name in slots}
         # Interleave appends of varying sizes (crossing page boundaries).
         schedule = [("a", 5), ("b", 12), ("a", 7), ("c", 1), ("b", 3),
                     ("a", 9), ("c", 16), ("b", 1)]
         for name, n in schedule:
             pool.append_placeholder(slots[name], n)
-            refs[name].append(*_rows(rng, n))
+            refs[name] = _rowwise(refs[name], n, 8)
         for name in ("a", "b", "c"):
-            assert pool.tokens(slots[name]) == len(refs[name])
+            assert pool.tokens(slots[name]) == sum(refs[name])
         assert pool.budget_pages - pool.free_pages == \
-            sum(ref.n_pages for ref in refs.values())
+            sum(len(fills) for fills in refs.values())
 
     def test_gather_after_free_and_realloc(self):
         """Recycled pages must not carry a previous slot's tokens."""
@@ -143,15 +143,6 @@ class TestGatherCorrectness:
         claim: from a recycled pool, across page boundaries and up to a
         refused append, which claims nothing."""
         page, budget = 8, 5
-
-        def rowwise(fills, n):
-            fills = list(fills)
-            for _ in range(n):
-                if not fills or fills[-1] == page:
-                    fills.append(0)
-                fills[-1] += 1
-            return fills
-
         pool = PagedKVPool(budget_tokens=40, page_tokens=page)
         stale = pool.allocate()
         pool.append_placeholder(stale, 13)
@@ -160,7 +151,7 @@ class TestGatherCorrectness:
         want = {s: [] for s in slots}
         for i, n in enumerate((3, 0, 5, 14, 1, 6, 9, 2)):
             slot = slots[i % 2]
-            grown = rowwise(want[slot], n)
+            grown = _rowwise(want[slot], n, page)
             held = sum(len(f) for s, f in want.items() if s != slot)
             if held + len(grown) > budget:
                 with pytest.raises(KVCacheError, match="budget exhausted"):

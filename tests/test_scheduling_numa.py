@@ -5,17 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigError, SchedulingError
+from repro.errors import SchedulingError
 from repro.hw import KT_AMX, KT_AVX512, paper_testbed, single_socket_testbed
-from repro.kernels import AMXKernel
 from repro.moe import (
     MoELayerDims,
     NumaStrategy,
-    TPShardedExpert,
     WorkItem,
     dynamic_schedule,
     expert_time_us,
-    make_expert,
     moe_layer_time_us,
     oblivious_cpu,
     speedup,
@@ -184,33 +181,3 @@ class TestNumaTiming:
         half = expert_time_us(KT_AMX, 16, DS3_DIMS, paper_testbed().cpu,
                               tp_shards=2)
         assert half < full
-
-
-class TestTPFunctional:
-    def test_shard_sum_equals_full_expert(self):
-        rng = np.random.default_rng(1)
-        expert = make_expert(32, 64, rng)
-        sharded = TPShardedExpert.split(expert, 2)
-        x = rng.standard_normal((3, 32)).astype(np.float32)
-        kernel = AMXKernel()
-        from repro.moe import expert_forward
-        full = expert_forward(x, expert, kernel)
-        assert np.allclose(sharded.forward(x, kernel), full, atol=1e-3)
-
-    def test_partials_differ_but_sum(self):
-        rng = np.random.default_rng(2)
-        expert = make_expert(32, 64, rng)
-        sharded = TPShardedExpert.split(expert, 4)
-        x = rng.standard_normal((2, 32)).astype(np.float32)
-        kernel = AMXKernel()
-        partials = [sharded.forward_partial(s, x, kernel) for s in range(4)]
-        assert not np.allclose(partials[0], partials[1])
-        total = sum(partials)
-        from repro.moe import expert_forward
-        assert np.allclose(total, expert_forward(x, expert, kernel), atol=1e-3)
-
-    def test_indivisible_shards_rejected(self):
-        rng = np.random.default_rng(3)
-        expert = make_expert(32, 50, rng)
-        with pytest.raises(ConfigError):
-            TPShardedExpert.split(expert, 4)
