@@ -61,7 +61,6 @@ from ..faults.injector import (
     FaultInjector,
     StepPerturbation,
 )
-from ..hw.roofline import pcie_transfer_time_us
 from ..hw.spec import InterconnectSpec
 from ..kernels.backend import KernelBackend
 from ..model.paged import PagedKVPool
@@ -669,22 +668,17 @@ class ContinuousBatchingServer:
                         chunk_tokens: int, clock: float) -> float:
         """Reprice one iteration for the pipeline-stage split.
 
-        ``cost * stage ratio + boundary handoffs``: the ratio carries
-        whatever cache repricing, fault perturbation and jitter the
-        priced cost already absorbed, while the stage-boundary transfers
-        are priced fresh on the clock's possibly fault-degraded link.
-        Applied *before* any capture stall, which the stage overlap
-        cannot hide.  Returns ``cost`` untouched for single-stage configs.
+        :meth:`BatchCostModel.staged_step_us` on the clock's possibly
+        fault-degraded link, applied *before* any capture stall, which
+        the stage overlap cannot hide.  Returns ``cost`` untouched for
+        single-stage configs.
         """
         if self.pipeline_stats is None:
             return cost
         if not context_lens and not chunk_tokens:
             return cost
-        ratio, boundary = self.costs.pipeline_factors(context_lens,
-                                                      chunk_tokens)
-        link = self.link_at(clock)
-        xfer = sum(pcie_transfer_time_us(b, link) for b in boundary)
-        staged = cost * ratio + xfer
+        staged, xfer = self.costs.staged_step_us(
+            cost, context_lens, chunk_tokens, self.link_at(clock))
         ps = self.pipeline_stats
         ps.staged_iterations += 1
         ps.serial_us += cost

@@ -47,6 +47,7 @@ from ..sched.workload import (
 )
 
 if TYPE_CHECKING:
+    from ..hw.spec import InterconnectSpec
     from .session import InferenceSession
 
 # How GPU-resident expert GEMMs are priced (see BatchSchedulerConfig).
@@ -530,18 +531,20 @@ class BatchCostModel:
                 self.machine, self._pipeline, self._price(shape))
         return factors
 
-    def staged_decode_step_us(self, context_lens: list[int]) -> float:
-        """Pipelined steady-state cost of one clean decode iteration.
+    def staged_step_us(self, cost: float, context_lens: list[int],
+                       chunk_tokens: int, link: InterconnectSpec
+                       ) -> tuple[float, float]:
+        """One priced iteration repriced for the pipeline-stage split.
 
-        ``decode_step_us * stage ratio + boundary handoffs`` on the
-        undegraded link -- exactly what the serving loop charges per
-        iteration when no cache/fault/jitter effect is active, and the
-        quantity the golden pins lock down.
+        Returns ``(cost * stage ratio + boundary handoffs, handoffs)`` in
+        µs: the ratio carries whatever cache repricing, fault perturbation
+        and jitter ``cost`` already absorbed, while the stage-boundary
+        transfers are priced on ``link`` (the serving loop passes the
+        possibly fault-degraded link of the moment).
         """
-        ratio, boundary = self.pipeline_factors(context_lens)
-        link = self.machine.interconnect
-        return (self.decode_step_us(context_lens) * ratio
-                + sum(pcie_transfer_time_us(b, link) for b in boundary))
+        ratio, boundary = self.pipeline_factors(context_lens, chunk_tokens)
+        xfer = sum(pcie_transfer_time_us(b, link) for b in boundary)
+        return cost * ratio + xfer, xfer
 
     def prefill_bucket(self, prompt_tokens: int) -> int:
         """The ``PREFILL_BUCKETS`` entry whose pass prices ``prompt_tokens``."""

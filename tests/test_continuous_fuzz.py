@@ -429,36 +429,6 @@ def test_session_replay_invariants(wl, cfg, capacity, tier):
         assert s.parked_tokens == 0 and s.swap_out_bytes == 0
 
 
-@settings(max_examples=8, deadline=None)
-@given(wl=session_workload_strategy, cfg=config_strategy,
-       seed=st.integers(0, 10_000))
-def test_session_disabled_is_baseline_bit_identical(wl, cfg, seed):
-    """``prefix_cache=None`` must reproduce the PR 6 engine bit-for-bit
-    on conversational traffic, clean and under ``canonical_chaos_plan``:
-    every new code path is gated on the config."""
-    cfg = _session_cfg(wl, cfg)
-
-    def run(prefix_cache, plan=None):
-        workload = multi_turn_workload(vocab_size=64, **wl)
-        injector = FaultInjector(plan) if plan is not None else None
-        server = ContinuousBatchingServer(
-            get_session(), BatchSchedulerConfig(**cfg),
-            fault_injector=injector, prefix_cache=prefix_cache)
-        return server, server.replay(list(workload))
-
-    server_b, base = run(None)
-    server_d, disabled = run(None)
-    assert base.timings == disabled.timings
-    assert base.summary() == disabled.summary()
-    assert server_b.timeline.as_dict() == server_d.timeline.as_dict()
-    assert disabled.sessions is None
-
-    _, base_chaos = run(None, canonical_chaos_plan(seed))
-    _, dis_chaos = run(None, canonical_chaos_plan(seed))
-    assert base_chaos.timings == dis_chaos.timings
-    assert base_chaos.summary() == dis_chaos.summary()
-
-
 @settings(max_examples=6, deadline=None)
 @given(wl=session_workload_strategy, cfg=config_strategy,
        tier=tier_strategy)
@@ -680,34 +650,6 @@ controller_strategy = st.builds(
     chunk_ladder=st.just((8, 16, 32, 64)),
     batch_ladder=st.sampled_from([(), (2, 4, 8)]),
 )
-
-
-@settings(max_examples=8, deadline=None)
-@given(wl=workload_strategy, cfg=config_strategy, seed=st.integers(0, 10_000))
-def test_controller_disabled_is_baseline_bit_identical(wl, cfg, seed):
-    """ISSUE 9 acceptance: ``controller=None`` must reproduce the PR 8
-    engine bit-for-bit, clean and under ``canonical_chaos_plan`` -- the
-    control plane is pay-for-play, gated entirely on its config."""
-    def run(controller, plan=None):
-        workload = poisson_workload(vocab_size=64, **wl)
-        injector = FaultInjector(plan) if plan is not None else None
-        server = ContinuousBatchingServer(
-            get_session(), BatchSchedulerConfig(**cfg),
-            fault_injector=injector, controller=controller)
-        return server, server.replay(list(workload))
-
-    server_b, base = run(None)
-    server_d, disabled = run(None)
-    assert base.timings == disabled.timings
-    assert base.summary() == disabled.summary()
-    assert server_b.timeline.as_dict() == server_d.timeline.as_dict()
-    assert disabled.controller is None
-    assert not any(k.startswith("ctrl_") for k in disabled.summary())
-
-    _, base_chaos = run(None, canonical_chaos_plan(seed))
-    _, dis_chaos = run(None, canonical_chaos_plan(seed))
-    assert base_chaos.timings == dis_chaos.timings
-    assert base_chaos.summary() == dis_chaos.summary()
 
 
 @settings(max_examples=8, deadline=None)

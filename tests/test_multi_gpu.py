@@ -137,8 +137,9 @@ class TestBatchCostModelPipeline:
     def test_single_stage_factors_are_identity(self, session):
         model = BatchCostModel(session)
         assert model.pipeline_factors([64, 64]) == (1.0, ())
-        assert model.staged_decode_step_us([64, 64]) == \
-            model.decode_step_us([64, 64])
+        cost = model.decode_step_us([64, 64])
+        assert model.staged_step_us(
+            cost, [64, 64], 0, session.machine.interconnect) == (cost, 0)
 
     def test_factors_shape_and_memoization(self, session):
         model = BatchCostModel(session, pipeline_stages=2)
@@ -154,9 +155,10 @@ class TestBatchCostModelPipeline:
         ctx = [64] * 4
         ratio, boundary = model.pipeline_factors(ctx)
         link = session.machine.interconnect
-        expected = (model.decode_step_us(ctx) * ratio
-                    + sum(pcie_transfer_time_us(b, link) for b in boundary))
-        assert model.staged_decode_step_us(ctx) == expected
+        handoffs = sum(pcie_transfer_time_us(b, link) for b in boundary)
+        cost = model.decode_step_us(ctx)
+        assert model.staged_step_us(cost, ctx, 0, link) == \
+            (cost * ratio + handoffs, handoffs)
 
     def test_staged_decode_matches_direct_stage_pricing(self, session):
         # The ratio decomposition must be exact, not approximate: pricing
@@ -167,7 +169,8 @@ class TestBatchCostModelPipeline:
         link = session.machine.interconnect
         for n_stages in (2, 4):
             model = BatchCostModel(session, pipeline_stages=n_stages)
-            via_ratio = model.staged_decode_step_us(ctx)
+            via_ratio, _ = model.staged_step_us(model.decode_step_us(ctx),
+                                                ctx, 0, link)
             works = model._works[model.step_shape(ctx)]
             cfg = PipelineConfig(n_stages)
             direct = (staged_interval_us(works, model._schedule_config(),
